@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race race-short vet lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden bench bench-smoke bench-json bench-gate fuzz-smoke fuzz cover clean ci
+.PHONY: all build test short race race-short vet lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden simbench-test bench bench-smoke bench-json bench-gate fuzz-smoke fuzz cover clean ci
 
 all: build lint test
 
@@ -52,6 +52,13 @@ bench-gate:
 telemetry-verify:
 	$(GO) test -count=1 ./internal/telemetry/
 	$(GO) test -count=1 -run 'TestTelemetry' ./internal/harness/
+
+# Benchmark-module tier: simbench is its own Go module (simbench/go.mod
+# replaces the simulator module with ../), so the root `go test ./...` never
+# builds it. Vet and test it here so a change to an API it calls — harness,
+# spec, telemetry.Recording — cannot break the benchmark silently.
+simbench-test:
+	cd simbench && $(GO) vet ./... && $(GO) test ./...
 
 # Refresh the committed telemetry golden after an intentional change to the
 # exporter format or the simulation's observable trajectory; review the diff.

@@ -65,16 +65,16 @@ func runTimeseries(path string, interval time.Duration, scale harness.Scale, see
 		switch {
 		case strings.HasSuffix(name, "/shared"):
 			var peak int64
-			for _, v := range rec.Series[j] {
-				if v > peak {
+			for i := range rec.Times {
+				if v := rec.At(j, i); v > peak {
 					peak = v
 				}
 			}
 			fmt.Printf("  %-18s peak %d B\n", name, peak)
 		case strings.HasSuffix(name, "/paused"):
 			var ticks int64
-			for _, v := range rec.Series[j] {
-				ticks += v
+			for i := range rec.Times {
+				ticks += rec.At(j, i)
 			}
 			if ticks > 0 {
 				fmt.Printf("  %-18s paused %d/%d ticks\n", name, ticks, len(rec.Times))

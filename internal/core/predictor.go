@@ -175,6 +175,7 @@ func predictWarn(q, deriv, qPFC, qth int, deltaT, warnTime sim.Time, paused, sta
 // directly to the upstream hop that is feeding the queue.
 func (p *Predictor) sendCNM(port int) {
 	p.Stats.Warnings++
+	p.sw.Stats.CNMSent++
 	if p.sw.Trace != nil {
 		p.sw.Trace.Add(trace.Event{At: p.sw.Eng.Now(), Kind: trace.CNMSent,
 			Dev: p.sw.ID, Port: port, Aux: p.sw.IngressBytes(port)})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/rlb-project/rlb/internal/sim"
+	"github.com/rlb-project/rlb/internal/switchsim"
 	"github.com/rlb-project/rlb/internal/units"
 	"github.com/rlb-project/rlb/internal/workload"
 )
@@ -191,5 +192,35 @@ func TestNormalizedRow(t *testing.T) {
 	row := normalizedRow("x", nil)
 	if len(row) != 1 {
 		t.Fatalf("row = %v", row)
+	}
+}
+
+// TestCNMSentMatchesPredictorWarnings checks the switch-level CNM counter
+// against the predictors that originate CNMs: every warning a predictor
+// raises is one CNM sent by its switch, so the fabric-wide sums agree.
+func TestCNMSentMatchesPredictorWarnings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale-tier simulation")
+	}
+	s := ScaleTier.Spec(7)
+	s.Scheme = "drill+rlb"
+	s.Workload = "websearch"
+	s.LoadPct = 60
+	cfg := MustCompile(s)
+	cfg.KeepNetwork = true
+	n := Run(cfg).Network
+
+	var sent, warnings uint64
+	for _, sw := range append(append([]*switchsim.Switch(nil), n.Leaves...), n.Spines...) {
+		sent += sw.Stats.CNMSent
+	}
+	for _, p := range n.Predictors {
+		warnings += p.Stats.Warnings
+	}
+	if warnings == 0 {
+		t.Fatal("scale-tier drill+rlb run raised no predictor warnings; the check is vacuous")
+	}
+	if sent != warnings {
+		t.Fatalf("Σ Switch.Stats.CNMSent = %d, Σ PredictorStats.Warnings = %d", sent, warnings)
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"io"
 	"strconv"
 )
@@ -9,7 +8,9 @@ import (
 // Exporters serialize a Recording. Output is byte-stable: fields are written
 // in a fixed order with strconv (no map iteration, no float formatting), so
 // the same recording always produces the same bytes — the property the
-// telemetry golden test and `make telemetry-verify` pin.
+// telemetry golden test and `make telemetry-verify` pin. Both exporters walk
+// Rows in order, build each line in one reused buffer, and hand it to w in a
+// single Write per line; wrap a file in a bufio.Writer when lines are short.
 
 // WriteJSONL writes the recording as JSON Lines: one header object
 //
@@ -22,37 +23,41 @@ import (
 // where v is parallel to the header's probes array. Timestamps and the
 // interval are in picoseconds, the simulator's native resolution.
 func WriteJSONL(w io.Writer, rec *Recording) error {
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 64)
-
-	bw.WriteString(`{"intervalPs":`)
-	bw.Write(strconv.AppendInt(buf, int64(rec.Interval), 10))
-	bw.WriteString(`,"samples":`)
-	bw.Write(strconv.AppendInt(buf, int64(len(rec.Times)), 10))
-	bw.WriteString(`,"dropped":`)
-	bw.Write(strconv.AppendInt(buf, int64(rec.Dropped), 10))
-	bw.WriteString(`,"probes":[`)
+	line := make([]byte, 0, 64+24*len(rec.Names))
+	line = append(line, `{"intervalPs":`...)
+	line = strconv.AppendInt(line, int64(rec.Interval), 10)
+	line = append(line, `,"samples":`...)
+	line = strconv.AppendInt(line, int64(len(rec.Times)), 10)
+	line = append(line, `,"dropped":`...)
+	line = strconv.AppendInt(line, int64(rec.Dropped), 10)
+	line = append(line, `,"probes":[`...)
 	for j, name := range rec.Names {
 		if j > 0 {
-			bw.WriteByte(',')
+			line = append(line, ',')
 		}
-		bw.WriteString(strconv.Quote(name))
+		line = strconv.AppendQuote(line, name)
 	}
-	bw.WriteString("]}\n")
+	line = append(line, "]}\n"...)
+	if _, err := w.Write(line); err != nil {
+		return err
+	}
 
 	for i, t := range rec.Times {
-		bw.WriteString(`{"tPs":`)
-		bw.Write(strconv.AppendInt(buf, int64(t), 10))
-		bw.WriteString(`,"v":[`)
-		for j := range rec.Series {
+		line = append(line[:0], `{"tPs":`...)
+		line = strconv.AppendInt(line, int64(t), 10)
+		line = append(line, `,"v":[`...)
+		for j, v := range rec.row(i) {
 			if j > 0 {
-				bw.WriteByte(',')
+				line = append(line, ',')
 			}
-			bw.Write(strconv.AppendInt(buf, rec.Series[j][i], 10))
+			line = strconv.AppendInt(line, v, 10)
 		}
-		bw.WriteString("]}\n")
+		line = append(line, "]}\n"...)
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // WriteCSV writes the recording in wide form: a header row
@@ -60,25 +65,29 @@ func WriteJSONL(w io.Writer, rec *Recording) error {
 // only when they contain a comma or quote (they normally do not: the wiring
 // layer uses '/'-separated names).
 func WriteCSV(w io.Writer, rec *Recording) error {
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 64)
-
-	bw.WriteString("t_ps")
+	line := make([]byte, 0, 64+24*len(rec.Names))
+	line = append(line, "t_ps"...)
 	for _, name := range rec.Names {
-		bw.WriteByte(',')
-		bw.WriteString(csvEscape(name))
+		line = append(line, ',')
+		line = append(line, csvEscape(name)...)
 	}
-	bw.WriteByte('\n')
+	line = append(line, '\n')
+	if _, err := w.Write(line); err != nil {
+		return err
+	}
 
 	for i, t := range rec.Times {
-		bw.Write(strconv.AppendInt(buf, int64(t), 10))
-		for j := range rec.Series {
-			bw.WriteByte(',')
-			bw.Write(strconv.AppendInt(buf, rec.Series[j][i], 10))
+		line = strconv.AppendInt(line[:0], int64(t), 10)
+		for _, v := range rec.row(i) {
+			line = append(line, ',')
+			line = strconv.AppendInt(line, v, 10)
 		}
-		bw.WriteByte('\n')
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // csvEscape quotes a field if it contains a comma, quote, or newline.

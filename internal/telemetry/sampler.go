@@ -8,22 +8,23 @@ import (
 const evTick = 0
 
 // Sampler drives a Registry's probes at a fixed simulated-time interval.
-// All series storage is allocated at construction; once Start has run, the
-// per-tick path (OnEvent → sample → rearm) performs indexed stores into the
-// preallocated buffers and reuses the engine's pooled event structs, so the
-// steady state allocates nothing. Ticks past capacity are counted in Dropped
-// and otherwise ignored — the run is never perturbed by a short buffer.
+// All storage is one tick-major buffer allocated at construction; once Start
+// has run, the per-tick path (OnEvent → sample → rearm) hands each probe
+// group its slice of the next row and reuses the engine's pooled event
+// structs, so the steady state allocates nothing. Ticks past capacity are
+// counted in Dropped and otherwise ignored — the run is never perturbed by a
+// short buffer.
 type Sampler struct {
 	eng      *sim.Engine
 	interval sim.Time
 
-	names []string
-	fns   []func() int64
+	names  []string
+	probes []probe
 
 	times []sim.Time
-	cols  [][]int64 // cols[j][i] = probe j at tick i; parallel to names
-	n     int       // ticks recorded
-	drop  int       // ticks discarded after the buffers filled
+	rows  []int64 // rows[i*len(names)+j] = series j at tick i
+	n     int     // ticks recorded
+	drop  int     // ticks discarded after the buffer filled
 
 	running bool
 	timer   sim.Timer
@@ -40,20 +41,14 @@ func NewSampler(eng *sim.Engine, reg *Registry, interval sim.Time, capacity int)
 	if capacity < 0 {
 		panic("telemetry: negative capacity")
 	}
-	s := &Sampler{
+	return &Sampler{
 		eng:      eng,
 		interval: interval,
-		names:    make([]string, len(reg.probes)),
-		fns:      make([]func() int64, len(reg.probes)),
+		names:    reg.Names(),
+		probes:   append([]probe(nil), reg.probes...),
 		times:    make([]sim.Time, capacity),
-		cols:     make([][]int64, len(reg.probes)),
+		rows:     make([]int64, capacity*len(reg.names)),
 	}
-	for j, p := range reg.probes {
-		s.names[j] = p.Name
-		s.fns[j] = p.Fn
-		s.cols[j] = make([]int64, capacity)
-	}
-	return s
 }
 
 // Start records the first tick at the current virtual time and arms the
@@ -85,15 +80,17 @@ func (s *Sampler) OnEvent(arg sim.EventArg) {
 }
 
 // sample records one tick, or counts it as dropped when the preallocated
-// buffers are full.
+// buffer is full.
 func (s *Sampler) sample() {
 	if s.n == len(s.times) {
 		s.drop++
 		return
 	}
 	s.times[s.n] = s.eng.Now()
-	for j := range s.fns {
-		s.cols[j][s.n] = s.fns[j]()
+	w := len(s.names)
+	row := s.rows[s.n*w : (s.n+1)*w]
+	for _, p := range s.probes {
+		p.fn(row[p.lo:p.hi])
 	}
 	s.n++
 }
@@ -110,27 +107,34 @@ func (s *Sampler) Samples() int { return s.n }
 func (s *Sampler) Dropped() int { return s.drop }
 
 // Recording is an immutable view of a sampler's recorded series, the form
-// carried on harness results and consumed by the exporters.
+// carried on harness results and consumed by the exporters. Storage is
+// tick-major: the values of tick i are the contiguous row
+// Rows[i*len(Names) : (i+1)*len(Names)], parallel to Names.
 type Recording struct {
 	Interval sim.Time   // tick spacing
-	Names    []string   // probe names, registration order
+	Names    []string   // series names, registration order
 	Times    []sim.Time // tick timestamps, length == number of ticks
-	Series   [][]int64  // Series[j][i] = probe j at tick i; parallel to Names
+	Rows     []int64    // len(Times) rows of len(Names) values each
 	Dropped  int        // ticks lost to capacity
+}
+
+// At returns series j at tick i.
+func (r *Recording) At(j, i int) int64 { return r.Rows[i*len(r.Names)+j] }
+
+// row returns the values of tick i, parallel to Names.
+func (r *Recording) row(i int) []int64 {
+	w := len(r.Names)
+	return r.Rows[i*w : (i+1)*w]
 }
 
 // Recording snapshots the recorded series. The returned slices alias the
 // sampler's buffers truncated to the recorded length; call after Stop.
 func (s *Sampler) Recording() *Recording {
-	rec := &Recording{
+	return &Recording{
 		Interval: s.interval,
 		Names:    s.names,
 		Times:    s.times[:s.n],
-		Series:   make([][]int64, len(s.cols)),
+		Rows:     s.rows[:s.n*len(s.names)],
 		Dropped:  s.drop,
 	}
-	for j, col := range s.cols {
-		rec.Series[j] = col[:s.n]
-	}
-	return rec
 }

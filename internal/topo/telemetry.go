@@ -12,7 +12,8 @@ import (
 // per-switch and per-port congestion signals the paper's timeline figures
 // are drawn from, plus host transport and RLB agent state. Registration is
 // cold-path (construction time); every probe body is a read-only fold over
-// existing counters, so sampling can never perturb the run.
+// existing counters, so sampling can never perturb the run. Each device is
+// one probe group, so a tick makes one call per switch, host, and agent.
 //
 // Probe naming: `leaf<i>/...` and `spine<i>/...` for switches, with
 // per-port series under `/p<j>/`; `host<i>/...` for transports;
@@ -27,41 +28,53 @@ func (n *Network) AttachTelemetry(reg *telemetry.Registry) {
 		attachSwitch(reg, fmt.Sprintf("spine%d", i), sw)
 	}
 	for _, h := range n.Hosts {
-		h := h
 		name := fmt.Sprintf("host%d", h.ID)
-		reg.Register(name+"/active", func() int64 { return h.TelemetrySnapshot().ActiveSenders })
-		reg.Register(name+"/inflight", func() int64 { return h.TelemetrySnapshot().Inflight })
-		reg.Register(name+"/una", func() int64 { return h.TelemetrySnapshot().Una })
-		reg.Register(name+"/next", func() int64 { return h.TelemetrySnapshot().Next })
-		reg.Register(name+"/ratebps", func() int64 { return h.TelemetrySnapshot().RateBps })
+		reg.Register(func(dst []int64) {
+			snap := h.TelemetrySnapshot()
+			dst[0] = snap.ActiveSenders
+			dst[1] = snap.Inflight
+			dst[2] = snap.Una
+			dst[3] = snap.Next
+			dst[4] = snap.RateBps
+		}, name+"/active", name+"/inflight", name+"/una", name+"/next", name+"/ratebps")
 	}
 	for l, a := range n.Agents {
 		if a == nil {
 			continue
 		}
-		a := a
 		name := fmt.Sprintf("rlb/leaf%d", l)
-		reg.Register(name+"/warnings", func() int64 { return int64(a.Stats.WarningsRcvd) })
-		reg.Register(name+"/recircs", func() int64 { return int64(a.Stats.Recircs) })
-		reg.Register(name+"/reroutes", func() int64 { return int64(a.Stats.Reroutes) })
+		reg.Register(func(dst []int64) {
+			dst[0] = int64(a.Stats.WarningsRcvd)
+			dst[1] = int64(a.Stats.Recircs)
+			dst[2] = int64(a.Stats.Reroutes)
+		}, name+"/warnings", name+"/recircs", name+"/reroutes")
 	}
 }
 
-// attachSwitch registers one switch's shared-pool, PFC, and per-port series.
+// attachSwitch registers one switch's shared-pool, PFC, and per-port series
+// as a single group: shared, pauses, recirced, dropped, then q and paused for
+// each port in port order.
 func attachSwitch(reg *telemetry.Registry, name string, sw *switchsim.Switch) {
-	reg.Register(name+"/shared", func() int64 { return int64(sw.SharedUsed()) })
-	reg.Register(name+"/pauses", func() int64 { return int64(sw.Stats.PauseSent) })
-	reg.Register(name+"/recirced", func() int64 { return int64(sw.Stats.Recirced) })
-	reg.Register(name+"/dropped", func() int64 { return int64(sw.Stats.Dropped) })
-	for j := 0; j < sw.NumPorts(); j++ {
-		p := sw.Port(j)
+	ports := make([]*fabric.Port, sw.NumPorts())
+	names := []string{name + "/shared", name + "/pauses", name + "/recirced", name + "/dropped"}
+	for j := range ports {
+		ports[j] = sw.Port(j)
 		pname := fmt.Sprintf("%s/p%d", name, j)
-		reg.Register(pname+"/q", func() int64 { return int64(p.QueuedBytes(fabric.PrioData)) })
-		reg.Register(pname+"/paused", func() int64 {
-			if p.Paused(fabric.PrioData) {
-				return 1
-			}
-			return 0
-		})
+		names = append(names, pname+"/q", pname+"/paused")
 	}
+	reg.Register(func(dst []int64) {
+		dst[0] = int64(sw.SharedUsed())
+		dst[1] = int64(sw.Stats.PauseSent)
+		dst[2] = int64(sw.Stats.Recirced)
+		dst[3] = int64(sw.Stats.Dropped)
+		cols := dst[4:] // q, paused per port
+		for j, p := range ports {
+			cols[2*j] = int64(p.QueuedBytes(fabric.PrioData))
+			var paused int64
+			if p.Paused(fabric.PrioData) {
+				paused = 1
+			}
+			cols[2*j+1] = paused
+		}
+	}, names...)
 }

@@ -17,9 +17,11 @@
 #   6. telemetry   — observation-only contract: fingerprints bit-identical
 #                    with sampling on/off, JSONL golden byte-stable, sampler
 #                    tick allocation-free (TESTING.md "Telemetry tier")
-#   7. fuzz smoke  — metamorphic scenario sweep + seeded-breach meta-test +
+#   7. simbench    — vet + tests of the separate simbench module, which the
+#                    root `go test ./...` never builds
+#   8. fuzz smoke  — metamorphic scenario sweep + seeded-breach meta-test +
 #                    time-boxed mutating fuzz over the committed corpus
-#   8. bench gate  — figure/scale events/sec vs the committed BENCH_PR10.json
+#   9. bench gate  — figure/scale events/sec vs the committed BENCH_PR10.json
 #                    (±10%), on by default; RLB_BENCH_GATE=0 opts out. The
 #                    committed record is copied next to simlint.jsonl as an
 #                    artifact.
@@ -66,6 +68,11 @@ make spec-verify
 # golden, a fingerprint divergence, or a sampler tick that started allocating.
 echo "==> telemetry verify (on/off parity, JSONL golden, zero-alloc tick)"
 make telemetry-verify
+
+# simbench is its own module: nothing above compiled it, so an API change it
+# depends on would otherwise surface only when the benchmark is next run.
+echo "==> simbench (separate module: vet + tests)"
+make simbench-test
 
 # The deterministic halves of the fuzz tier (sweep + meta-test) already ran
 # inside `go test ./...`; re-running them here is cheap and keeps the tier
