@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race race-short vet lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden simbench-test bench bench-smoke bench-json bench-gate fuzz-smoke fuzz cover clean ci
+.PHONY: all build test short race race-short vet lint fmt-check simlint golden grids-golden spec-verify telemetry-verify telemetry-golden simbench-test bench bench-smoke bench-json bench-gate fuzz-smoke fuzz cover clean ci
 
 all: build lint test
 
@@ -103,9 +103,17 @@ race-short:
 vet:
 	$(GO) vet ./...
 
-# Static-analysis tier: go vet plus the project-specific simlint suite
-# (determinism, poolcheck, timercheck, unitsafe — see TESTING.md).
-lint: vet simlint
+# Static-analysis tier: go vet, the gofmt gate, and the project-specific
+# simlint suite (determinism, poolcheck, timercheck, unitsafe — see
+# TESTING.md).
+lint: vet fmt-check simlint
+
+# Formatting gate: fails if any tracked Go file outside testdata is not
+# gofmt-clean. The simlint fixtures under */testdata/* are exempt on purpose:
+# they are analyzer inputs, not project code.
+fmt-check:
+	@unformatted=$$(git ls-files -- '*.go' ':(exclude)*/testdata/*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 simlint:
 	$(GO) run ./cmd/simlint ./...

@@ -42,7 +42,7 @@ var scenarioFlags = map[string]bool{
 	"spines": true, "hosts": true, "gbps": true, "duration": true,
 	"drain": true, "asym": true, "cap": true, "seed": true, "seeds": true,
 	"noguard": true, "norecirc": true, "probe": true, "kill": true,
-	"kill-at": true, "restore-at": true, "strict": true, "sched": true,
+	"kill-at": true, "restore-at": true, "strict": true,
 	"spec": true,
 }
 
@@ -70,7 +70,6 @@ func main() {
 	killAt := flag.Duration("kill-at", time.Millisecond, "fault plane: when to kill the links")
 	restoreAt := flag.Duration("restore-at", 0, "fault plane: when to restore them (0 = never)")
 	strict := flag.Bool("strict", false, "enable the strict invariant-checker tier")
-	sched := flag.String("sched", "calendar", "event scheduler: calendar|heap (heap is the reference implementation, for A/B debugging)")
 	specPath := flag.String("spec", "", "load the scenario from this canonical spec JSON file; other flags overlay it")
 	dumpSpec := flag.Bool("dump-spec", false, "print the effective spec as canonical JSON and exit without running")
 	fingerprint := flag.Bool("fingerprint", false, "print the run's determinism fingerprint (single-seed runs)")
@@ -166,9 +165,6 @@ func main() {
 	if visited["probe"] {
 		s.ProbeUs = int(*probe / time.Microsecond)
 	}
-	if visited["sched"] {
-		s.Scheduler = *sched
-	}
 	if visited["strict"] {
 		s.Strict = *strict
 	}
@@ -204,8 +200,8 @@ func main() {
 		return
 	}
 
-	// Compile once up front so registry errors (unknown scheme, workload,
-	// scheduler — each listing the valid names) surface before any profiling
+	// Compile once up front so registry errors (unknown scheme or workload,
+	// each listing the valid names) surface before any profiling
 	// starts or simulations run.
 	cfg, err := harness.Compile(s)
 	if err != nil {
@@ -297,7 +293,7 @@ func main() {
 	} else if s.Strict {
 		fmt.Printf("invariants: ok (%d checks, strict)\n", res.InvariantChecks)
 	}
-	fmt.Printf("rlb:        %d warnings accepted, %d recirculations\n", res.Warnings, res.Recircs)
+	fmt.Printf("rlb:        %d warnings accepted, %d recirculations\n", res.Agents.WarningsRcvd, res.Recircs)
 	if res.Agents.PicksTotal > 0 {
 		a := res.Agents
 		fmt.Printf("rlb picks:  %d total, %d warned, %d reroutes, %d recircs (+%d order, %d sticky), %d orderstay, %d staycheap, %d fallback\n",

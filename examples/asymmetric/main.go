@@ -10,11 +10,9 @@ package main
 import (
 	"fmt"
 
-	"github.com/rlb-project/rlb/internal/core"
 	"github.com/rlb-project/rlb/internal/harness"
 	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/units"
-	"github.com/rlb-project/rlb/internal/workload"
 )
 
 func main() {
@@ -31,14 +29,12 @@ func main() {
 		var afct, p99, ooo metrics
 		var pauses uint64
 		for seed := uint64(1); seed <= 4; seed++ {
-			p := scale.AsymTopoParams()
-			rlb := core.DefaultParams(p.LinkDelay)
-			harness.MustScheme(name, p.LinkDelay, &rlb).Apply(&p)
-			res := harness.Run(harness.RunConfig{
-				Topo: p, Workload: workload.CacheFollower(), Load: 0.5,
-				MaxFlowBytes: scale.MaxFlowBytes,
-				Duration:     scale.Duration, Drain: scale.Drain, Seed: seed * 97,
-			})
+			sp := scale.Spec(seed * 97)
+			sp.AsymPct = 20
+			sp.Scheme = name
+			sp.Workload = "cachefollower"
+			sp.LoadPct = 50
+			res := harness.Run(harness.MustCompile(sp))
 			afct.add(res.Report.AvgFCTms())
 			p99.add(res.Report.TailFCTms())
 			ooo.add(100 * res.Report.OOORatio())

@@ -12,6 +12,7 @@ import (
 
 	"github.com/rlb-project/rlb/internal/harness"
 	"github.com/rlb-project/rlb/internal/sim"
+	"github.com/rlb-project/rlb/internal/spec"
 	"github.com/rlb-project/rlb/internal/units"
 )
 
@@ -22,31 +23,27 @@ func main() {
 		MaxFlowBytes: 2_000_000,
 		MotivSpines:  8, MotivHosts: 10,
 	}
+	// Every scheme with PFC on and off: 5 sprayed paths, 2 burst waves.
+	cells, results := harness.MustRunGrid(spec.Grid{
+		Name: "motivation",
+		Base: scale.MotivSpec(42, 5, 2),
+		Axes: []spec.Axis{
+			{Field: "scheme", Strs: []string{"presto", "letflow", "hermes", "drill"}},
+			{Field: "pfcOff", Ints: []int{0, 1}},
+		},
+	})
 	fmt.Println("Fig. 2 scenario: 8 parallel paths, 10 background pairs, bursts + 1 elephant")
 	fmt.Println()
 	fmt.Printf("%-8s %-4s %10s %10s %10s %10s\n",
 		"scheme", "pfc", "pauses/ms", "p99 OOD", "afct(ms)", "p99(ms)")
-	for _, scheme := range []string{"presto", "letflow", "hermes", "drill"} {
-		for _, pfc := range []bool{true, false} {
-			res := harness.RunMotivation(harness.MotivationSpec{
-				Scale:      scale,
-				Scheme:     harness.MustScheme(scheme, scale.LinkDelay, nil),
-				PFCEnabled: pfc,
-				SprayPaths: 5,
-				Bursts:     2,
-				Seed:       42,
-			})
-			onOff := "on"
-			if !pfc {
-				onOff = "off"
-			}
-			fmt.Printf("%-8s %-4s %10.1f %10.0f %10.3f %10.3f\n",
-				scheme, onOff,
-				res.PauseRatePerMs(),
-				res.Background.OOD.Percentile(99),
-				res.Background.AvgFCTms(),
-				res.Background.TailFCTms())
+	for i, c := range cells {
+		m := results[i]
+		onOff := "on"
+		if c.PFCOff {
+			onOff = "off"
 		}
+		fmt.Printf("%-8s %-4s %10.1f %10.0f %10.3f %10.3f\n",
+			c.Scheme, onOff, m.PauseRate, m.OODp99, m.AFCT, m.P99)
 	}
 	fmt.Println("\nPFC pausing inflates out-of-order degree and tail FCT for every")
 	fmt.Println("PFC-oblivious scheme — the problem RLB's prediction removes.")

@@ -1,24 +1,27 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
-	"github.com/rlb-project/rlb/internal/workload"
+	"github.com/rlb-project/rlb/internal/spec"
 )
 
-func averageTestCfg(load float64) RunConfig {
-	p := testScale.TopoParams()
-	MustScheme("ecmp", testScale.LinkDelay, nil).Apply(&p)
-	return RunConfig{
-		Topo: p, Workload: workload.WebServer(), Load: load,
-		MaxFlowBytes: testScale.MaxFlowBytes,
-		Duration:     testScale.Duration, Drain: testScale.Drain, Seed: 5,
-	}
+// averageTestSpec is a fabric-kind cell on testScale: ECMP under the Web
+// Server workload at the given load.
+func averageTestSpec(loadPct int) spec.Spec {
+	s := testScale.Spec(5)
+	s.Scheme = "ecmp"
+	s.Workload = "webserver"
+	s.LoadPct = loadPct
+	return s
 }
 
-func TestRunAveragedShape(t *testing.T) {
-	cfgs := []RunConfig{averageTestCfg(0.2), averageTestCfg(0.4)}
-	out := RunAveraged(cfgs, 2)
+func TestRunSpecsAveragedShape(t *testing.T) {
+	out, err := RunSpecsAveraged([]spec.Spec{averageTestSpec(20), averageTestSpec(40)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != 2 {
 		t.Fatalf("%d results", len(out))
 	}
@@ -27,11 +30,11 @@ func TestRunAveragedShape(t *testing.T) {
 			t.Fatalf("Seeds = %d", m.Seeds)
 		}
 		if m.Completed <= 0 || m.AFCT <= 0 {
-			t.Fatalf("cfg %d: empty metrics %+v", i, m)
+			t.Fatalf("cell %d: empty metrics %+v", i, m)
 		}
 		// Percentiles must be ordered.
 		if !(m.P25 <= m.P50 && m.P50 <= m.P75 && m.P75 <= m.P90 && m.P90 <= m.P99) {
-			t.Fatalf("cfg %d: percentiles not monotone: %+v", i, m)
+			t.Fatalf("cell %d: percentiles not monotone: %+v", i, m)
 		}
 	}
 	// More load, more flows.
@@ -40,31 +43,51 @@ func TestRunAveragedShape(t *testing.T) {
 	}
 }
 
-func TestRunAveragedSingleSeedMatchesRun(t *testing.T) {
-	cfg := averageTestCfg(0.3)
-	direct := Run(cfg)
-	avg := RunAveraged([]RunConfig{cfg}, 1)[0]
-	if avg.AFCT != direct.Report.AvgFCTms() {
-		t.Fatalf("single-seed average %v != direct %v", avg.AFCT, direct.Report.AvgFCTms())
+func TestRunSpecsAveragedSingleSeedMatchesRun(t *testing.T) {
+	s := averageTestSpec(30)
+	res := Run(MustCompile(s))
+	if res.Report.Completed == 0 {
+		t.Fatal("direct run completed no flows; the comparison is vacuous")
 	}
-	if avg.Completed != float64(direct.Report.Completed) {
-		t.Fatal("completed mismatch")
+	direct := specMetrics(s, res)
+	direct.Seeds = 1
+	out, err := RunSpecsAveraged([]spec.Spec{s}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != direct {
+		t.Fatalf("single-seed average %+v != direct %+v", out[0], direct)
+	}
+	if out[0].AFCT != res.Report.AvgFCTms() || out[0].Completed != float64(res.Report.Completed) {
+		t.Fatalf("single-seed average %+v disagrees with the direct report", out[0])
 	}
 }
 
-func TestRunAveragedClampsSeeds(t *testing.T) {
-	out := RunAveraged([]RunConfig{averageTestCfg(0.2)}, 0)
+func TestRunSpecsAveragedClampsSeeds(t *testing.T) {
+	out, err := RunSpecsAveraged([]spec.Spec{averageTestSpec(20)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out[0].Seeds != 1 {
 		t.Fatalf("seeds not clamped: %d", out[0].Seeds)
 	}
 }
 
-func TestRunMotivationsAveraged(t *testing.T) {
-	specs := []MotivationSpec{{
-		Scale: testScale, Scheme: motivScheme("presto", testScale),
-		PFCEnabled: true, SprayPaths: 2, Bursts: 2, Seed: 3,
-	}}
-	out := RunMotivationsAveraged(specs, 2)
+func TestRunSpecsAveragedCompileError(t *testing.T) {
+	bad := averageTestSpec(20)
+	bad.Scheme = "bogus"
+	_, err := RunSpecsAveraged([]spec.Spec{averageTestSpec(20), bad}, 1)
+	if err == nil || !strings.Contains(err.Error(), "spec 1") {
+		t.Fatalf("want an error naming spec 1, got %v", err)
+	}
+}
+
+func TestRunSpecsAveragedMotivation(t *testing.T) {
+	s := motivTestSpec("presto", 3, 2, 2)
+	out, err := RunSpecsAveraged([]spec.Spec{s}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != 1 {
 		t.Fatalf("%d results", len(out))
 	}
@@ -73,6 +96,16 @@ func TestRunMotivationsAveraged(t *testing.T) {
 	}
 	if out[0].PauseRate <= 0 {
 		t.Fatalf("motivation scenario produced no pauses: %+v", out[0])
+	}
+	// The motivation kind retains its network so the background flows can
+	// be split out; metric extraction must release it again.
+	r := Run(MustCompile(s))
+	if r.Network == nil {
+		t.Fatal("motivation run did not retain its network for the background split")
+	}
+	specMetrics(s, r)
+	if r.Network != nil {
+		t.Fatal("specMetrics leaked Result.Network")
 	}
 }
 

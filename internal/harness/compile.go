@@ -89,8 +89,8 @@ func specFaults(s spec.Spec, rate units.Bandwidth) []topo.Fault {
 // Compile translates the canonical experiment spec into the RunConfig the
 // harness executes — the single point where spec fields become simulator
 // parameters, shared by the figure sweep engine, both CLIs, and the scenario
-// fuzzer. It validates against the real registries (scheme, workload,
-// scheduler, fault addresses) and returns errors that list the valid names.
+// fuzzer. It validates against the real registries (scheme, workload, fault
+// addresses) and returns errors that list the valid names.
 //
 // The compiled config always carries Context = s.Params(), so every
 // invariant violation is labeled with the full reproducible parameter set in
@@ -121,11 +121,6 @@ func validateShape(s spec.Spec) error {
 	}
 	if s.DrainUs < 0 || s.MaxFlowKB < 0 || s.LoadPct < 0 {
 		return fmt.Errorf("negative drainUs/maxFlowKB/loadPct")
-	}
-	if s.Scheduler != "" {
-		if _, ok := sim.SchedulerByName(s.Scheduler); !ok {
-			return fmt.Errorf("unknown scheduler %q (valid: calendar, heap)", s.Scheduler)
-		}
 	}
 	if s.Telemetry != nil && s.Telemetry.SampleUs < 1 {
 		return fmt.Errorf("telemetry sampleUs %d: need >= 1", s.Telemetry.SampleUs)
@@ -169,10 +164,6 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 	}
 	if s.ProbeUs > 0 {
 		p.ProbeInterval = usTime(s.ProbeUs)
-	}
-	if s.Scheduler != "" {
-		kind, _ := sim.SchedulerByName(s.Scheduler) // validated above
-		p.Scheduler = kind
 	}
 	for _, f := range s.Faults {
 		if f.Leaf < 0 || f.Leaf >= s.Leaves || f.Spine < 0 || f.Spine >= s.Spines {
@@ -316,40 +307,12 @@ func compileMotivation(s spec.Spec) (RunConfig, error) {
 	if m.SprayPaths < 1 {
 		return RunConfig{}, fmt.Errorf("motiv sprayPaths %d: need >= 1", m.SprayPaths)
 	}
-	ms, err := toMotivationSpec(s)
+	sc := specScale(s)
+	sch, err := SchemeByName(s.Scheme, sc.LinkDelay, rlbParamsFor(s, sc.LinkDelay))
 	if err != nil {
 		return RunConfig{}, err
 	}
-	cfg, _ := motivationConfig(ms)
-	if s.Scheduler != "" {
-		kind, _ := sim.SchedulerByName(s.Scheduler) // validated above
-		cfg.Topo.Scheduler = kind
-	}
-	cfg.Context = s.Params()
-	cfg.Telemetry = specTelemetry(s)
-	return cfg, nil
-}
-
-// toMotivationSpec bridges a motivation-kind spec onto the legacy
-// MotivationSpec API (kept for direct callers and tests).
-func toMotivationSpec(s spec.Spec) (MotivationSpec, error) {
-	sc := specScale(s)
-	sc.MotivSpines = s.Motiv.Spines
-	sc.MotivHosts = s.Motiv.Hosts
-	sch, err := SchemeByName(s.Scheme, sc.LinkDelay, rlbParamsFor(s, sc.LinkDelay))
-	if err != nil {
-		return MotivationSpec{}, err
-	}
-	return MotivationSpec{
-		Scale:            sc,
-		Scheme:           sch,
-		PFCEnabled:       !s.PFCOff,
-		SprayPaths:       s.Motiv.SprayPaths,
-		Bursts:           s.Motiv.Bursts,
-		BgLoad:           float64(s.Motiv.BgLoadPct) / 100,
-		StrictInvariants: s.Strict,
-		Seed:             s.SimSeed,
-	}, nil
+	return motivationConfig(s, sc, sch), nil
 }
 
 // schemeNameList is the valid-name suffix for unknown-scheme errors.

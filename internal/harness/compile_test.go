@@ -113,6 +113,18 @@ func TestCompileSchemeRegistryAgreement(t *testing.T) {
 	}
 }
 
+// TestCompileAsymPct pins the §4.2 asymmetric fabric: AsymPct 20 downgrades
+// 20% of the leaf-spine links to a quarter of the link rate.
+func TestCompileAsymPct(t *testing.T) {
+	s := testScale.Spec(1)
+	s.Scheme = "ecmp"
+	s.AsymPct = 20
+	p := MustCompile(s).Topo
+	if p.AsymFraction != 0.2 || p.AsymRate != testScale.LinkRate/4 {
+		t.Fatalf("asym params wrong: %v %v", p.AsymFraction, p.AsymRate)
+	}
+}
+
 func TestCompileValidation(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -123,7 +135,6 @@ func TestCompileValidation(t *testing.T) {
 		{"zero duration", func(s *spec.Spec) { s.DurationUs = 0 }, "durationUs"},
 		{"negative load", func(s *spec.Spec) { s.LoadPct = -1 }, "negative"},
 		{"no leaves", func(s *spec.Spec) { s.Leaves = 0 }, "fabric"},
-		{"bad scheduler", func(s *spec.Spec) { s.Scheduler = "fifo" }, "calendar, heap"},
 		{"fault off fabric", func(s *spec.Spec) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 9, DownAtUs: 10, UpAtUs: 20}}
 		}, "outside the"},

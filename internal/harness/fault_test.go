@@ -44,7 +44,7 @@ func TestKillUplinksSchedule(t *testing.T) {
 func faultCfg(t *testing.T, scheme string, faults []topo.Fault) RunConfig {
 	t.Helper()
 	p := testScale.TopoParams()
-	MustScheme(scheme, testScale.LinkDelay, nil).Apply(&p)
+	mustScheme(scheme, testScale.LinkDelay, nil).Apply(&p)
 	return RunConfig{
 		Topo: p, Workload: workload.WebServer(), Load: 0.3,
 		MaxFlowBytes: testScale.MaxFlowBytes,

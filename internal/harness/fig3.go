@@ -24,29 +24,3 @@ func Fig3(s Scale, seed uint64) *Table {
 		s.Name, s.MotivSpines, s.MotivHosts, s.seeds())
 	return t
 }
-
-// runMotivations executes motivation specs concurrently in input order.
-func runMotivations(specs []MotivationSpec) []*MotivationResult {
-	results := make([]*MotivationResult, len(specs))
-	done := make(chan int)
-	sem := make(chan struct{}, maxWorkers(len(specs)))
-	for i := range specs {
-		i := i
-		// Worker-isolation contract: each RunMotivation builds its own
-		// engine, topology, and seeded RNG streams from specs[i] alone and
-		// shares no mutable state with its siblings. Workers write only
-		// results[i] — a distinct element per goroutine — so the only
-		// synchronization needed is the completion channel, and output is
-		// identical for any worker count.
-		go func() {
-			sem <- struct{}{}
-			results[i] = RunMotivation(specs[i])
-			<-sem
-			done <- i
-		}()
-	}
-	for range specs {
-		<-done
-	}
-	return results
-}

@@ -68,15 +68,3 @@ func sweepInts(lo, hi, n int) []int {
 	}
 	return out
 }
-
-// maxWorkers caps concurrent simulations.
-func maxWorkers(n int) int {
-	w := workers()
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}

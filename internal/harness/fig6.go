@@ -1,11 +1,5 @@
 package harness
 
-import (
-	"fmt"
-
-	"github.com/rlb-project/rlb/internal/workload"
-)
-
 // Fig6 reproduces Fig. 6: the FCT distribution of every flow under the Web
 // Search workload at 60% load on the symmetric topology, for each base
 // scheme with and without RLB. The paper plots full CDFs; this table prints
@@ -31,27 +25,4 @@ func Fig6(s Scale, seed uint64) *Table {
 		}
 	}
 	return t
-}
-
-// Fig6CDF returns the raw FCT CDF points for one scheme (for plotting).
-func Fig6CDF(s Scale, schemeName string, points int, seed uint64) ([]float64, error) {
-	sch, err := SchemeByName(schemeName, s.LinkDelay, nil)
-	if err != nil {
-		return nil, err
-	}
-	p := s.TopoParams()
-	sch.Apply(&p)
-	res := Run(RunConfig{
-		Topo: p, Workload: workload.WebSearch(), Load: 0.6,
-		MaxFlowBytes: s.MaxFlowBytes, Duration: s.Duration, Drain: s.Drain, Seed: seed,
-	})
-	cdf := res.Report.FCT.CDF(points)
-	out := make([]float64, len(cdf))
-	for i, pt := range cdf {
-		out[i] = pt.X
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("harness: no completed flows for %s", schemeName)
-	}
-	return out, nil
 }

@@ -67,12 +67,12 @@ type RunConfig struct {
 
 // Result captures one simulation's outcome.
 type Result struct {
-	Report   *metrics.FlowReport
-	Pauses   uint64
-	Recircs  uint64
-	Drops    uint64
-	Warnings uint64 // CNMs accepted by leaf agents
-	// Agents aggregates RLB rerouting-module stats across leaves.
+	Report  *metrics.FlowReport
+	Pauses  uint64
+	Recircs uint64
+	Drops   uint64
+	// Agents aggregates RLB rerouting-module stats across leaves
+	// (Agents.WarningsRcvd counts CNMs accepted by leaf agents).
 	Agents  core.AgentStats
 	SimTime sim.Time
 	Wall    time.Duration
@@ -193,7 +193,6 @@ func Run(cfg RunConfig) *Result {
 		if a == nil {
 			continue
 		}
-		res.Warnings += a.Stats.WarningsRcvd
 		res.Agents.WarningsRcvd += a.Stats.WarningsRcvd
 		res.Agents.PicksTotal += a.Stats.PicksTotal
 		res.Agents.PicksWarned += a.Stats.PicksWarned
@@ -207,9 +206,6 @@ func Run(cfg RunConfig) *Result {
 	}
 	return res
 }
-
-// workers returns the simulation parallelism (one worker per CPU).
-func workers() int { return runtime.GOMAXPROCS(0) }
 
 // totalEvents accumulates engine events dispatched across every Run in the
 // process. Atomic because RunAll executes simulations on parallel goroutines.

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rlb-project/rlb/internal/core"
 	"github.com/rlb-project/rlb/internal/sim"
+	"github.com/rlb-project/rlb/internal/spec"
 	"github.com/rlb-project/rlb/internal/switchsim"
 	"github.com/rlb-project/rlb/internal/units"
 	"github.com/rlb-project/rlb/internal/workload"
@@ -19,9 +21,26 @@ var testScale = Scale{
 	MotivSpines:  4, MotivHosts: 4,
 }
 
+// mustScheme is SchemeByName for test-authored configs, where an error is a
+// bug in the test.
+func mustScheme(name string, linkDelay sim.Time, rlbParams *core.Params) Scheme {
+	s, err := SchemeByName(name, linkDelay, rlbParams)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// motivTestSpec is a motivation-kind (Fig. 2) cell on testScale.
+func motivTestSpec(scheme string, seed uint64, sprayPaths, bursts int) spec.Spec {
+	s := testScale.MotivSpec(seed, sprayPaths, bursts)
+	s.Scheme = scheme
+	return s
+}
+
 func TestRunPoissonScenario(t *testing.T) {
 	p := testScale.TopoParams()
-	MustScheme("ecmp", testScale.LinkDelay, nil).Apply(&p)
+	mustScheme("ecmp", testScale.LinkDelay, nil).Apply(&p)
 	res := Run(RunConfig{
 		Topo: p, Workload: workload.WebServer(), Load: 0.4,
 		MaxFlowBytes: testScale.MaxFlowBytes,
@@ -46,7 +65,7 @@ func TestRunAllOrderAndParallel(t *testing.T) {
 	loads := []float64{0.1, 0.2, 0.3, 0.4}
 	for _, l := range loads {
 		p := testScale.TopoParams()
-		MustScheme("ecmp", testScale.LinkDelay, nil).Apply(&p)
+		mustScheme("ecmp", testScale.LinkDelay, nil).Apply(&p)
 		cfgs = append(cfgs, RunConfig{
 			Topo: p, Workload: workload.WebServer(), Load: l,
 			MaxFlowBytes: testScale.MaxFlowBytes,
@@ -96,13 +115,6 @@ func TestScaleByName(t *testing.T) {
 	}
 }
 
-func TestAsymTopoParams(t *testing.T) {
-	p := testScale.AsymTopoParams()
-	if p.AsymFraction != 0.2 || p.AsymRate != testScale.LinkRate/4 {
-		t.Fatalf("asym params wrong: %v %v", p.AsymFraction, p.AsymRate)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{Title: "T", Headers: []string{"a", "bb"}}
 	tbl.AddRow("x", 1.23456)
@@ -132,14 +144,20 @@ func TestSweepInts(t *testing.T) {
 }
 
 func TestMotivationScenarioRuns(t *testing.T) {
-	res := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: motivScheme("presto", testScale),
-		PFCEnabled: true, SprayPaths: 2, Bursts: 2, Seed: 3,
-	})
-	if res.Background.Flows == 0 {
-		t.Fatal("no background flows")
+	s := motivTestSpec("presto", 3, 2, 2)
+	res := Run(MustCompile(s))
+	// Host ids below Motiv.Hosts are the background senders.
+	bgFlows := 0
+	for _, f := range res.Network.Flows {
+		if f.Src < s.Motiv.Hosts {
+			bgFlows++
+		}
 	}
-	if res.Report.Flows <= res.Background.Flows {
+	bg := specMetrics(s, res)
+	if bgFlows == 0 || bg.Completed == 0 {
+		t.Fatalf("background flows: %d started, %v completed", bgFlows, bg.Completed)
+	}
+	if res.Report.Flows <= bgFlows {
 		t.Fatal("burst/congested flows missing from aggregate")
 	}
 	if res.Pauses == 0 {
@@ -148,10 +166,9 @@ func TestMotivationScenarioRuns(t *testing.T) {
 }
 
 func TestMotivationPFCOffHasNoPauses(t *testing.T) {
-	res := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: motivScheme("drill", testScale),
-		PFCEnabled: false, SprayPaths: 2, Bursts: 2, Seed: 3,
-	})
+	s := motivTestSpec("drill", 3, 2, 2)
+	s.PFCOff = true
+	res := Run(MustCompile(s))
 	if res.Pauses != 0 {
 		t.Fatalf("%d pauses with PFC disabled", res.Pauses)
 	}
@@ -161,32 +178,21 @@ func TestRLBReducesReorderingUnderPFC(t *testing.T) {
 	// The paper's headline claim, at test scale: with PFC on, adding RLB to
 	// a PFC-oblivious per-packet scheme (DRILL) must reduce the
 	// out-of-order ratio of the victim background flows.
-	base := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: motivScheme("drill", testScale),
-		PFCEnabled: true, SprayPaths: 4, Bursts: 3, Seed: 11,
-	})
-	rlb := defaultRLBFor(testScale)
-	withRLB := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: MustScheme("drill+rlb", testScale.LinkDelay, &rlb),
-		PFCEnabled: true, SprayPaths: 4, Bursts: 3, Seed: 11,
-	})
-	if base.Background.TotalOOO == 0 {
+	baseSpec := motivTestSpec("drill", 11, 4, 3)
+	base := specMetrics(baseSpec, Run(MustCompile(baseSpec)))
+	rlbSpec := motivTestSpec("drill+rlb", 11, 4, 3)
+	rlbRes := Run(MustCompile(rlbSpec))
+	withRLB := specMetrics(rlbSpec, rlbRes)
+	if base.OOOPct == 0 {
 		t.Skip("scenario too gentle at test scale to reorder packets")
 	}
-	if withRLB.Background.OOORatio() >= base.Background.OOORatio() {
-		t.Fatalf("RLB did not reduce reordering: %.4f -> %.4f (warnings=%d recircs=%d)",
-			base.Background.OOORatio(), withRLB.Background.OOORatio(),
-			withRLB.Warnings, withRLB.Recircs)
+	if withRLB.OOOPct >= base.OOOPct {
+		t.Fatalf("RLB did not reduce reordering: %.4f%% -> %.4f%% (warnings=%d recircs=%d)",
+			base.OOOPct, withRLB.OOOPct, rlbRes.Agents.WarningsRcvd, rlbRes.Recircs)
 	}
 }
 
 func TestNormalizedRow(t *testing.T) {
-	mk := func(afct float64) *Result {
-		r := &Result{Report: nil}
-		_ = r
-		return nil
-	}
-	_ = mk
 	// normalizedRow is exercised through Fig10 at bench scale; here check
 	// the degenerate empty case does not panic.
 	row := normalizedRow("x", nil)

@@ -9,7 +9,7 @@ import (
 
 func poissonCfg(scheme string, seed uint64) RunConfig {
 	p := testScale.TopoParams()
-	MustScheme(scheme, testScale.LinkDelay, nil).Apply(&p)
+	mustScheme(scheme, testScale.LinkDelay, nil).Apply(&p)
 	return RunConfig{
 		Topo: p, Workload: workload.WebServer(), Load: 0.4,
 		MaxFlowBytes: testScale.MaxFlowBytes,
@@ -136,14 +136,13 @@ func TestViolationsCarryRunContext(t *testing.T) {
 func TestMotivationStrictAndUnretained(t *testing.T) {
 	// The motivation scenario (PFC storms, recirculation, spraying) is the
 	// hardest path for the checker; it must stay clean in strict mode, and
-	// RunMotivation must not leak its network.
-	res := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: motivScheme("drill", testScale),
-		PFCEnabled: true, SprayPaths: 2, Bursts: 2, Seed: 3,
-		StrictInvariants: true,
-	})
+	// metric extraction must not leak its network.
+	s := motivTestSpec("drill", 3, 2, 2)
+	s.Strict = true
+	res := Run(MustCompile(s))
+	specMetrics(s, res)
 	if res.Network != nil {
-		t.Fatal("RunMotivation leaked Result.Network")
+		t.Fatal("specMetrics leaked Result.Network")
 	}
 	if res.InvariantChecks == 0 {
 		t.Fatal("checker not wired through the motivation path")

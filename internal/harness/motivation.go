@@ -1,76 +1,35 @@
 package harness
 
 import (
-	"github.com/rlb-project/rlb/internal/core"
-	"github.com/rlb-project/rlb/internal/metrics"
 	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
+	"github.com/rlb-project/rlb/internal/spec"
 	"github.com/rlb-project/rlb/internal/topo"
-	"github.com/rlb-project/rlb/internal/transport"
 	"github.com/rlb-project/rlb/internal/workload"
 )
 
-// MotivationSpec parameterizes the Fig. 2 scenario: two leaf switches, many
-// equal-cost paths between them, background flows H1..Hn -> R1..Rn, bursty
-// hosts Hb blasting receiver Rc, and a long congested flow fc from Hc to Rc
-// sprayed over several parallel paths.
-type MotivationSpec struct {
-	Scale  Scale
-	Scheme Scheme
-	// PFCEnabled toggles lossless mode (the Fig. 3 comparison axis).
-	PFCEnabled bool
-	// SprayPaths is how many parallel paths fc uses (Fig. 4(a) sweeps this).
-	SprayPaths int
-	// Bursts is the number of continuous burst waves (Fig. 4(b) sweeps it).
-	Bursts int
-	// BgLoad is the background senders' offered load fraction.
-	BgLoad float64
-	// StrictInvariants turns on the checker's expensive tier for this run
-	// (see RunConfig.StrictInvariants).
-	StrictInvariants bool
-	Seed             uint64
-}
-
-// MotivationResult separates the victim (background) flows' metrics from the
-// aggregate, since the paper's Fig. 3/4 measure the uncongested flows.
-type MotivationResult struct {
-	*Result
-	Background *metrics.FlowReport
-}
-
-// RunMotivation executes the Fig. 2 scenario once.
-func RunMotivation(spec MotivationSpec) *MotivationResult {
-	cfg, nBg := motivationConfig(spec)
-	res := Run(cfg)
-	// Background flows are those sourced by H1..Hn (host ids < nBg).
-	var bg []*transport.Flow
-	for _, f := range res.Network.Flows {
-		if f.Src < nBg {
-			bg = append(bg, f)
-		}
-	}
-	res.Network = nil
-	return &MotivationResult{Result: res, Background: metrics.BuildFlowReport(bg)}
-}
-
-// motivationConfig builds the Fig. 2 scenario's RunConfig and returns it with
-// the background-sender count (host ids below it are the victim flows the
-// figures measure). Shared by RunMotivation and the spec compiler.
-func motivationConfig(spec MotivationSpec) (RunConfig, int) {
-	s := spec.Scale
-	nBg := s.MotivHosts
+// motivationConfig builds the Fig. 2 scenario from a motivation-kind spec:
+// two leaf switches, many equal-cost paths between them, background flows
+// H1..Hn -> R1..Rn, bursty hosts Hb blasting receiver Rc, and a long
+// congested flow fc from Hc to Rc sprayed over several parallel paths. sc
+// and sch are the scale and scheme compileMotivation resolved from the spec.
+// Host ids below s.Motiv.Hosts are the background (victim) senders that
+// motivationMetrics measures.
+func motivationConfig(s spec.Spec, sc Scale, sch Scheme) RunConfig {
+	m := *s.Motiv
+	nBg := m.Hosts
 	nBurst := nBg / 4
 	if nBurst < 2 {
 		nBurst = 2
 	}
 	hostsPerLeaf := nBg + 1 + nBurst
 
-	p := topo.Default(2, s.MotivSpines, hostsPerLeaf)
-	p.LinkRate = s.LinkRate
-	p.LinkDelay = s.LinkDelay
-	s.ScaleSwitch(&p.Switch)
-	p.Switch.PFCEnabled = spec.PFCEnabled
-	spec.Scheme.Apply(&p)
+	p := topo.Default(2, m.Spines, hostsPerLeaf)
+	p.LinkRate = sc.LinkRate
+	p.LinkDelay = sc.LinkDelay
+	sc.ScaleSwitch(&p.Switch)
+	p.Switch.PFCEnabled = !s.PFCOff
+	sch.Apply(&p)
 
 	// Host roles (leaf 0 then leaf 1). Burst hosts sit on leaf 0 so their
 	// line-rate 64 KB flows cross the fabric toward Rc: they are what pauses
@@ -80,31 +39,33 @@ func motivationConfig(spec MotivationSpec) (RunConfig, int) {
 	burstBase := nBg + 1     // burst hosts on leaf 0
 
 	fcSize := 25 * 1000 * 1000 // scaled stand-in for the paper's 250 MB flow
-	if s.MaxFlowBytes > 0 && fcSize > 10*s.MaxFlowBytes {
-		fcSize = 10 * s.MaxFlowBytes
+	if sc.MaxFlowBytes > 0 && fcSize > 10*sc.MaxFlowBytes {
+		fcSize = 10 * sc.MaxFlowBytes
 	}
 	burstFlowSize := 64 * 1000
 	burstFlowsPerHost := 10 // scaled stand-in for the paper's 40
 	burstGap := 400 * sim.Microsecond
 
-	bgLoad := spec.BgLoad
+	bgLoad := float64(m.BgLoadPct) / 100
 	if bgLoad <= 0 {
 		bgLoad = 0.55
 	}
 
-	cfg := RunConfig{
+	return RunConfig{
 		Topo: p,
-		// KeepNetwork so the victim flows can be separated below; released
-		// again before returning.
+		// KeepNetwork so specMetrics can separate the victim flows; it
+		// releases the network after extraction.
 		KeepNetwork:      true,
-		StrictInvariants: spec.StrictInvariants,
-		Duration:         s.Duration,
-		Drain:            s.Drain,
-		Seed:             spec.Seed,
+		StrictInvariants: s.Strict,
+		Context:          s.Params(),
+		Telemetry:        specTelemetry(s),
+		Duration:         sc.Duration,
+		Drain:            sc.Drain,
+		Seed:             s.SimSeed,
 		Inject: func(n *topo.Network) {
 			// Congested flow fc over SprayPaths parallel paths.
 			fc := n.StartFlow(hc, rc, fcSize)
-			n.SprayFlow(fc, spec.SprayPaths)
+			n.SprayFlow(fc, m.SprayPaths)
 
 			// Continuous bursts into Rc (intra-leaf on leaf 1).
 			var burstHosts []int
@@ -112,14 +73,13 @@ func motivationConfig(spec MotivationSpec) (RunConfig, int) {
 				burstHosts = append(burstHosts, burstBase+b)
 			}
 			workload.Bursts(n.Eng, n.Starter(), burstHosts, rc,
-				burstFlowsPerHost, burstFlowSize, spec.Bursts, burstGap)
+				burstFlowsPerHost, burstFlowSize, m.Bursts, burstGap)
 
 			// Background pairs Hi -> Ri with Poisson arrivals (Web Search).
-			pairedPoisson(n, rng.New(spec.Seed+13), workload.WebSearch(),
-				nBg, hostsPerLeaf, bgLoad, s.Duration, s.MaxFlowBytes)
+			pairedPoisson(n, rng.New(s.SimSeed+13), workload.WebSearch(),
+				nBg, hostsPerLeaf, bgLoad, sc.Duration, sc.MaxFlowBytes)
 		},
 	}
-	return cfg, nBg
 }
 
 // pairedPoisson drives Poisson flow arrivals from sender i (host id i on
@@ -152,11 +112,3 @@ func pairedPoisson(n *topo.Network, r *rng.Source, dist *workload.SizeDist,
 	}
 	schedule()
 }
-
-// motivScheme builds the Scheme for a motivation run (vanilla base LB).
-func motivScheme(name string, s Scale) Scheme {
-	return MustScheme(name, s.LinkDelay, nil)
-}
-
-// defaultRLBFor returns RLB defaults for a scale.
-func defaultRLBFor(s Scale) core.Params { return core.DefaultParams(s.LinkDelay) }

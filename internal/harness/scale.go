@@ -6,7 +6,6 @@ import (
 	"github.com/rlb-project/rlb/internal/switchsim"
 	"github.com/rlb-project/rlb/internal/topo"
 	"github.com/rlb-project/rlb/internal/units"
-	"github.com/rlb-project/rlb/internal/workload"
 )
 
 // Scale bundles the fabric size and run length used by the figure builders.
@@ -107,12 +106,11 @@ func ScaleByName(name string) (Scale, bool) {
 // seeds; this deliberately runs one fabric so events/sec reflects the engine,
 // not harness fan-out.
 func ScaleThroughput(s Scale, schemeName string, seed uint64) *Result {
-	p := s.TopoParams()
-	MustScheme(schemeName, s.LinkDelay, nil).Apply(&p)
-	return Run(RunConfig{
-		Topo: p, Workload: workload.WebSearch(), Load: 0.6,
-		MaxFlowBytes: s.MaxFlowBytes, Duration: s.Duration, Drain: s.Drain, Seed: seed,
-	})
+	sp := s.Spec(seed)
+	sp.Scheme = schemeName
+	sp.Workload = "websearch"
+	sp.LoadPct = 60
+	return Run(MustCompile(sp))
 }
 
 // TopoParams returns symmetric fabric params for this scale.
@@ -183,13 +181,4 @@ func (s Scale) MotivSpec(seed uint64, sprayPaths, bursts int) spec.Spec {
 		Bursts:     bursts,
 	}
 	return sp
-}
-
-// AsymTopoParams returns the §4.2 asymmetric fabric: 20% of leaf-spine links
-// at a quarter of the rate (the paper's 40 -> 10 Gb/s).
-func (s Scale) AsymTopoParams() topo.Params {
-	p := s.TopoParams()
-	p.AsymFraction = 0.2
-	p.AsymRate = s.LinkRate / 4
-	return p
 }

@@ -65,15 +65,6 @@ func SchemeByName(name string, linkDelay sim.Time, rlbParams *core.Params) (Sche
 	return s, nil
 }
 
-// MustScheme is SchemeByName that panics on error (for internal tables).
-func MustScheme(name string, linkDelay sim.Time, rlbParams *core.Params) Scheme {
-	s, err := SchemeByName(name, linkDelay, rlbParams)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Apply installs the scheme into topology params.
 func (s Scheme) Apply(p *topo.Params) {
 	p.LB = s.LB

@@ -12,29 +12,11 @@ const (
 	// wheel of (at, seq)-ordered mini-heap buckets with a binary-heap
 	// overflow for events beyond the wheel horizon.
 	SchedCalendar SchedulerKind = iota
-	// SchedHeap is the single binary min-heap, kept as the reference
-	// implementation for A/B debugging and the equivalence property test.
+	// SchedHeap is the single binary min-heap, kept only as the reference
+	// implementation the equivalence tests compare the calendar queue
+	// against (TestSchedulerEquivalence and the fuzzer's PropSchedEquiv).
 	SchedHeap
 )
-
-func (k SchedulerKind) String() string {
-	if k == SchedHeap {
-		return "heap"
-	}
-	return "calendar"
-}
-
-// SchedulerByName maps a CLI spelling to a SchedulerKind. It reports false
-// for names it does not know.
-func SchedulerByName(name string) (SchedulerKind, bool) {
-	switch name {
-	case "calendar":
-		return SchedCalendar, true
-	case "heap":
-		return SchedHeap, true
-	}
-	return SchedCalendar, false
-}
 
 // scheduler is the pluggable event queue behind an Engine. Implementations
 // must yield events in exact (at, seq) order — the determinism of every

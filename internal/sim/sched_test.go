@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-func TestSchedulerByName(t *testing.T) {
-	cases := []struct {
-		name string
-		kind SchedulerKind
-		ok   bool
-	}{
-		{"calendar", SchedCalendar, true},
-		{"heap", SchedHeap, true},
-		{"splay", SchedCalendar, false},
-		{"", SchedCalendar, false},
-	}
-	for _, c := range cases {
-		kind, ok := SchedulerByName(c.name)
-		if kind != c.kind || ok != c.ok {
-			t.Errorf("SchedulerByName(%q) = (%v, %v), want (%v, %v)", c.name, kind, ok, c.kind, c.ok)
-		}
-	}
-	if SchedCalendar.String() != "calendar" || SchedHeap.String() != "heap" {
-		t.Errorf("String() = %q/%q", SchedCalendar.String(), SchedHeap.String())
-	}
-}
-
 // driveScheduler runs a seeded random schedule/cancel/run workload against an
 // engine with the given scheduler kind and returns the exact fire log
 // (id@time per event, in dispatch order).

@@ -23,7 +23,7 @@ func fullSpec() Spec {
 		},
 		NoRecirc: true, NoOrderGuard: true, QthFracPct: 40, DeltaTNs: 2500,
 		PFCOff: true, SelectiveRepeat: true,
-		ProbeUs: 100, Scheduler: "heap", Strict: true, Seeds: 3,
+		ProbeUs: 100, Strict: true, Seeds: 3,
 		Motiv:        &MotivSpec{Spines: 5, Hosts: 2, SprayPaths: 3, Bursts: 4, BgLoadPct: 55},
 		LeakPutEvery: 9,
 	}
@@ -57,12 +57,19 @@ func TestEncodeDecodeRoundTripByteStable(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownFields(t *testing.T) {
-	_, err := Decode([]byte(`{"simSeed": 1, "linkGpbs": 10}`))
-	if err == nil {
-		t.Fatal("typo'd field decoded silently; DisallowUnknownFields is the contract")
-	}
-	if !strings.Contains(err.Error(), "linkGpbs") {
-		t.Fatalf("error does not name the offending field: %v", err)
+	for field, doc := range map[string]string{
+		// A typo.
+		"linkGpbs": `{"simSeed": 1, "linkGpbs": 10}`,
+		// The event queue is not a spec knob.
+		"scheduler": `{"simSeed": 1, "scheduler": "heap"}`,
+	} {
+		_, err := Decode([]byte(doc))
+		if err == nil {
+			t.Fatalf("%q decoded silently; DisallowUnknownFields is the contract", field)
+		}
+		if !strings.Contains(err.Error(), field) {
+			t.Fatalf("error does not name the offending field %q: %v", field, err)
+		}
 	}
 }
 
@@ -140,7 +147,7 @@ func TestNormalizeClearsFigureOnlyKnobs(t *testing.T) {
 	n := fullSpec().Normalize()
 	if n.Motiv != nil || n.IncastReps != 0 || n.PFCOff || n.SelectiveRepeat ||
 		n.ProbeUs != 0 || n.NoRecirc || n.NoOrderGuard || n.QthFracPct != 0 ||
-		n.DeltaTNs != 0 || n.LinkDelayNs != 0 || n.Scheduler != "" || n.Strict || n.Seeds != 0 {
+		n.DeltaTNs != 0 || n.LinkDelayNs != 0 || n.Strict || n.Seeds != 0 {
 		t.Fatalf("figure-only knobs survived Normalize: %+v", n)
 	}
 	if n.DrainUs < n.DrainFloorUs() {

@@ -160,9 +160,8 @@ func TestSetIntCoversEveryIntField(t *testing.T) {
 func TestSetStr(t *testing.T) {
 	var s Spec
 	for field, read := range map[string]func() string{
-		"scheme":    func() string { return s.Scheme },
-		"workload":  func() string { return s.Workload },
-		"scheduler": func() string { return s.Scheduler },
+		"scheme":   func() string { return s.Scheme },
+		"workload": func() string { return s.Workload },
 	} {
 		if err := s.SetStr(field, "x"); err != nil {
 			t.Fatalf("SetStr(%q): %v", field, err)
@@ -173,6 +172,9 @@ func TestSetStr(t *testing.T) {
 	}
 	if err := s.SetStr("loadPct", "50"); err == nil {
 		t.Fatal("int field accepted through SetStr")
+	}
+	if err := s.SetStr("scheduler", "heap"); err == nil {
+		t.Fatal("scheduler accepted through SetStr; the event queue is not a spec knob")
 	}
 }
 

@@ -61,8 +61,8 @@ type Params struct {
 	Checker *invariant.Checker
 
 	// Scheduler selects the engine's event-queue implementation; the zero
-	// value is the default calendar queue. SchedHeap keeps the reference
-	// binary heap for A/B debugging (rlbsim -sched).
+	// value is the default calendar queue. SchedHeap selects the reference
+	// binary heap, which only the scheduler-equivalence tests use.
 	Scheduler sim.SchedulerKind
 
 	Seed uint64

@@ -2,9 +2,10 @@
 # CI gate for the RLB simulator. Runs the tiers in fail-fast order:
 #
 #   1. build       — everything compiles
-#   2. lint        — go vet + simlint (determinism / poolcheck / timercheck /
-#                    unitsafe / hotpath / exhaustive; see TESTING.md "Static
-#                    analysis tier"). Findings are also captured as a JSON
+#   2. lint        — go vet + gofmt gate (tracked .go files outside
+#                    */testdata/*) + simlint (determinism / poolcheck /
+#                    timercheck / unitsafe / hotpath / exhaustive; see
+#                    TESTING.md "Static analysis tier"). Findings are also captured as a JSON
 #                    Lines artifact (simlint.jsonl under $CI_ARTIFACT_DIR,
 #                    default artifacts/) for tooling, even when the tier
 #                    fails.
@@ -37,8 +38,9 @@ GO=${GO:-go}
 echo "==> build"
 "$GO" build ./...
 
-echo "==> lint (vet + simlint)"
+echo "==> lint (vet + gofmt + simlint)"
 "$GO" vet ./...
+make fmt-check
 # Run simlint twice: the human-readable gate, plus a machine-readable JSON
 # Lines artifact. The JSON run goes first and is allowed to "fail" (findings
 # exit 1) so the artifact exists even when the gate below stops CI.
