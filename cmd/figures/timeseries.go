@@ -61,24 +61,25 @@ func runTimeseries(path string, interval time.Duration, scale harness.Scale, see
 	fmt.Printf("timeseries: %s @ %dus -> %s\n", s.Params(), us, path)
 	fmt.Printf("recorded:   %d probes x %d samples (%d dropped) over %v\n",
 		len(rec.Names), len(rec.Times), rec.Dropped, res.SimTime)
+	// One pass over the ticks keeps every series' peak and sum: the peak of
+	// a shared-pool series is its switch's high-water mark, the sum of a
+	// pause bit its port's paused-tick count.
+	peak := make([]int64, len(rec.Names))
+	sum := make([]int64, len(rec.Names))
+	for c := rec.Ticks(); c.Next(); {
+		for j, v := range c.Row() {
+			if v > peak[j] {
+				peak[j] = v
+			}
+			sum[j] += v
+		}
+	}
 	for j, name := range rec.Names {
 		switch {
 		case strings.HasSuffix(name, "/shared"):
-			var peak int64
-			for i := range rec.Times {
-				if v := rec.At(j, i); v > peak {
-					peak = v
-				}
-			}
-			fmt.Printf("  %-18s peak %d B\n", name, peak)
-		case strings.HasSuffix(name, "/paused"):
-			var ticks int64
-			for i := range rec.Times {
-				ticks += rec.At(j, i)
-			}
-			if ticks > 0 {
-				fmt.Printf("  %-18s paused %d/%d ticks\n", name, ticks, len(rec.Times))
-			}
+			fmt.Printf("  %-18s peak %d B\n", name, peak[j])
+		case strings.HasSuffix(name, "/paused") && sum[j] > 0:
+			fmt.Printf("  %-18s paused %d/%d ticks\n", name, sum[j], len(rec.Times))
 		}
 	}
 	return 0

@@ -23,6 +23,20 @@ type AgentStats struct {
 	StayCheaper  uint64 // warned picks kept because every detour cost more
 }
 
+// Add accumulates o into s field by field, e.g. to total a fabric's agents.
+func (s *AgentStats) Add(o AgentStats) {
+	s.WarningsRcvd += o.WarningsRcvd
+	s.PicksTotal += o.PicksTotal
+	s.PicksWarned += o.PicksWarned
+	s.Reroutes += o.Reroutes
+	s.Recircs += o.Recircs
+	s.Fallbacks += o.Fallbacks
+	s.OrderStays += o.OrderStays
+	s.OrderRecircs += o.OrderRecircs
+	s.DivertSticky += o.DivertSticky
+	s.StayCheaper += o.StayCheaper
+}
+
 // flowMem remembers where a flow's previous packet went, so the agent never
 // diverts a packet ahead of predecessors that are already committed to the
 // warned path — doing so would cause exactly the overtaking RLB exists to

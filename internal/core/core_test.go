@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/rlb-project/rlb/internal/fabric"
@@ -252,5 +253,25 @@ func TestWarnedExpiresByComparison(t *testing.T) {
 	warn(a, 0, 3, 2*sim.Second)
 	if !a.Warned(0, 3, 2*sim.Second+sim.Microsecond) {
 		t.Fatal("re-warned slot not live again")
+	}
+}
+
+// TestAgentStatsAddSumsEveryField fills each counter with a distinct value
+// and adds the stats twice, so a field left out of Add — say, one added to
+// AgentStats later — shows up as a zero.
+func TestAgentStatsAddSumsEveryField(t *testing.T) {
+	var o AgentStats
+	ov := reflect.ValueOf(&o).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		ov.Field(i).SetUint(uint64(i + 1))
+	}
+	var sum AgentStats
+	sum.Add(o)
+	sum.Add(o)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Uint(), 2*uint64(i+1); got != want {
+			t.Errorf("%s = %d after adding %d twice, want %d", sv.Type().Field(i).Name, got, i+1, want)
+		}
 	}
 }

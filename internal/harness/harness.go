@@ -193,16 +193,7 @@ func Run(cfg RunConfig) *Result {
 		if a == nil {
 			continue
 		}
-		res.Agents.WarningsRcvd += a.Stats.WarningsRcvd
-		res.Agents.PicksTotal += a.Stats.PicksTotal
-		res.Agents.PicksWarned += a.Stats.PicksWarned
-		res.Agents.Reroutes += a.Stats.Reroutes
-		res.Agents.Recircs += a.Stats.Recircs
-		res.Agents.Fallbacks += a.Stats.Fallbacks
-		res.Agents.OrderStays += a.Stats.OrderStays
-		res.Agents.OrderRecircs += a.Stats.OrderRecircs
-		res.Agents.DivertSticky += a.Stats.DivertSticky
-		res.Agents.StayCheaper += a.Stats.StayCheaper
+		res.Agents.Add(a.Stats)
 	}
 	return res
 }

@@ -2,7 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -111,5 +114,46 @@ func TestTelemetryGoldenJSONL(t *testing.T) {
 		}
 		t.Fatalf("telemetry JSONL drifted from golden at line %d (got %d bytes, want %d); refresh with -update-telemetry if intentional",
 			line, len(got), len(want))
+	}
+}
+
+// TestTelemetryScaleExportDigest pins the JSONL and CSV exports of one
+// scale-tier incast timeline (792 series x 4,781 ticks at 20 us, letflow+rlb,
+// 5 x 28-to-1 x 4,000 KB) by sha256. The golden above covers a small fabric;
+// this run is the shape the benchmark exports, with wide counters, long
+// constant stretches, and pause fronts, so a storage or exporter change that
+// only misbehaves at scale still shows.
+func TestTelemetryScaleExportDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale-tier run; skipped under -short")
+	}
+	s := ScaleTier.Spec(1000)
+	s.Scheme = "letflow+rlb"
+	s.IncastReps = 5
+	s.IncastDegree = 28
+	s.IncastKB = 4000
+	s.Telemetry = &spec.TelemetrySpec{SampleUs: 20}
+	rec := Run(MustCompile(s)).Telemetry
+	if rec == nil {
+		t.Fatal("no recording")
+	}
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer, *telemetry.Recording) error
+		bytes int
+		sum   string
+	}{
+		{"jsonl", telemetry.WriteJSONL, 8798506, "7684016351bdd58056bf8a2a1605aa8532105e748c155ef7586253cee143cffe"},
+		{"csv", telemetry.WriteCSV, 8729931, "55633510ce1c3f621f772c5ebfaab3971391667e6c2c01b6249ac034299d404b"},
+	} {
+		var buf bytes.Buffer
+		if err := c.write(&buf, rec); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); buf.Len() != c.bytes || got != c.sum {
+			t.Errorf("%s export: %d bytes, sha256 %s; want %d bytes, sha256 %s",
+				c.name, buf.Len(), got, c.bytes, c.sum)
+		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 // in a fixed order with strconv (no map iteration, no float formatting), so
 // the same recording always produces the same bytes — the property the
 // telemetry golden test and `make telemetry-verify` pin. Both exporters walk
-// Rows in order, build each line in one reused buffer, and hand it to w in a
-// single Write per line; wrap a file in a bufio.Writer when lines are short.
+// the recording once with its tick cursor, build each line in one reused
+// buffer, and hand it to w in a single Write per line; wrap a file in a
+// bufio.Writer when lines are short.
 
 // WriteJSONL writes the recording as JSON Lines: one header object
 //
@@ -42,11 +43,11 @@ func WriteJSONL(w io.Writer, rec *Recording) error {
 		return err
 	}
 
-	for i, t := range rec.Times {
+	for c := rec.Ticks(); c.Next(); {
 		line = append(line[:0], `{"tPs":`...)
-		line = strconv.AppendInt(line, int64(t), 10)
+		line = strconv.AppendInt(line, int64(c.Time()), 10)
 		line = append(line, `,"v":[`...)
-		for j, v := range rec.row(i) {
+		for j, v := range c.Row() {
 			if j > 0 {
 				line = append(line, ',')
 			}
@@ -76,9 +77,9 @@ func WriteCSV(w io.Writer, rec *Recording) error {
 		return err
 	}
 
-	for i, t := range rec.Times {
-		line = strconv.AppendInt(line[:0], int64(t), 10)
-		for _, v := range rec.row(i) {
+	for c := rec.Ticks(); c.Next(); {
+		line = strconv.AppendInt(line[:0], int64(c.Time()), 10)
+		for _, v := range c.Row() {
 			line = append(line, ',')
 			line = strconv.AppendInt(line, v, 10)
 		}

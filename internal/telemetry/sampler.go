@@ -7,13 +7,24 @@ import (
 // evTick is the only event code the sampler schedules.
 const evTick = 0
 
-// Sampler drives a Registry's probes at a fixed simulated-time interval.
-// All storage is one tick-major buffer allocated at construction; once Start
-// has run, the per-tick path (OnEvent → sample → rearm) hands each probe
-// group its slice of the next row and reuses the engine's pooled event
-// structs, so the steady state allocates nothing. Ticks past capacity are
-// counted in Dropped and otherwise ignored — the run is never perturbed by a
-// short buffer.
+// change is one entry of the change log: series took value at the tick
+// whose range of the log holds the entry.
+type change struct {
+	series uint32
+	value  int64
+}
+
+// Sampler drives a Registry's probes at a fixed simulated-time interval and
+// stores what they report as a change log. Each tick the probes fill one
+// reused scratch row; the sampler compares it with the last recorded value
+// of every series and appends only the (series, value) pairs that moved,
+// then writes the tick's end offset into a slice preallocated to capacity.
+// Tick 0 diffs against the zero row. Most series hold still between ticks
+// (idle queues, clear pause bits, line-rate senders), so the log is a small
+// fraction of the dense ticks × series matrix. A tick that records no change
+// allocates nothing; the log doubles when full, so a run grows it O(log n)
+// times. Ticks past capacity are counted in Dropped and otherwise ignored —
+// the run is never perturbed by a short buffer.
 type Sampler struct {
 	eng      *sim.Engine
 	interval sim.Time
@@ -21,10 +32,15 @@ type Sampler struct {
 	names  []string
 	probes []probe
 
-	times []sim.Time
-	rows  []int64 // rows[i*len(names)+j] = series j at tick i
-	n     int     // ticks recorded
-	drop  int     // ticks discarded after the buffer filled
+	row  []int64 // scratch row the probes fill each tick
+	last []int64 // last recorded value of every series
+
+	times []sim.Time // times[i] = timestamp of tick i
+	ends  []int      // ends[i] = end of tick i's entries in log
+	log   []change   // every tick's changes, in tick then series order
+	nlog  int        // live entries in log; log[nlog:] is spare room
+	n     int        // ticks recorded
+	drop  int        // ticks discarded after the buffer filled
 
 	running bool
 	timer   sim.Timer
@@ -46,8 +62,10 @@ func NewSampler(eng *sim.Engine, reg *Registry, interval sim.Time, capacity int)
 		interval: interval,
 		names:    reg.Names(),
 		probes:   append([]probe(nil), reg.probes...),
+		row:      make([]int64, len(reg.names)),
+		last:     make([]int64, len(reg.names)),
 		times:    make([]sim.Time, capacity),
-		rows:     make([]int64, capacity*len(reg.names)),
+		ends:     make([]int, capacity),
 	}
 }
 
@@ -80,18 +98,29 @@ func (s *Sampler) OnEvent(arg sim.EventArg) {
 }
 
 // sample records one tick, or counts it as dropped when the preallocated
-// buffer is full.
+// tick buffer is full.
 func (s *Sampler) sample() {
 	if s.n == len(s.times) {
 		s.drop++
 		return
 	}
 	s.times[s.n] = s.eng.Now()
-	w := len(s.names)
-	row := s.rows[s.n*w : (s.n+1)*w]
 	for _, p := range s.probes {
-		p.fn(row[p.lo:p.hi])
+		p.fn(s.row[p.lo:p.hi])
 	}
+	for j, v := range s.row {
+		if v == s.last[j] {
+			continue
+		}
+		s.last[j] = v
+		if s.nlog == len(s.log) {
+			//simlint:allow(hotpath) the change log doubles when full: O(log changes) growths per run, and a tick that changes nothing never grows it
+			s.log = append(s.log, make([]change, len(s.log)+64)...)
+		}
+		s.log[s.nlog] = change{series: uint32(j), value: v}
+		s.nlog++
+	}
+	s.ends[s.n] = s.nlog
 	s.n++
 }
 
@@ -107,24 +136,17 @@ func (s *Sampler) Samples() int { return s.n }
 func (s *Sampler) Dropped() int { return s.drop }
 
 // Recording is an immutable view of a sampler's recorded series, the form
-// carried on harness results and consumed by the exporters. Storage is
-// tick-major: the values of tick i are the contiguous row
-// Rows[i*len(Names) : (i+1)*len(Names)], parallel to Names.
+// carried on harness results and consumed by the exporters. Values are kept
+// as the sampler's change log; Ticks replays them tick by tick as dense rows
+// parallel to Names.
 type Recording struct {
 	Interval sim.Time   // tick spacing
 	Names    []string   // series names, registration order
 	Times    []sim.Time // tick timestamps, length == number of ticks
-	Rows     []int64    // len(Times) rows of len(Names) values each
 	Dropped  int        // ticks lost to capacity
-}
 
-// At returns series j at tick i.
-func (r *Recording) At(j, i int) int64 { return r.Rows[i*len(r.Names)+j] }
-
-// row returns the values of tick i, parallel to Names.
-func (r *Recording) row(i int) []int64 {
-	w := len(r.Names)
-	return r.Rows[i*w : (i+1)*w]
+	ends []int    // ends[i] = end of tick i's entries in log
+	log  []change // the changes of every tick, in order
 }
 
 // Recording snapshots the recorded series. The returned slices alias the
@@ -134,7 +156,50 @@ func (s *Sampler) Recording() *Recording {
 		Interval: s.interval,
 		Names:    s.names,
 		Times:    s.times[:s.n],
-		Rows:     s.rows[:s.n*len(s.names)],
 		Dropped:  s.drop,
+		ends:     s.ends[:s.n],
+		log:      s.log[:s.nlog],
 	}
 }
+
+// Ticks returns a cursor positioned before the first tick:
+//
+//	for c := rec.Ticks(); c.Next(); {
+//		use(c.Time(), c.Row())
+//	}
+func (r *Recording) Ticks() *Cursor {
+	return &Cursor{rec: r, i: -1, row: make([]int64, len(r.Names))}
+}
+
+// Cursor walks a Recording's ticks in order, rebuilding each tick's dense
+// row from the change log. It starts from the zero row, the state tick 0
+// was diffed against.
+type Cursor struct {
+	rec *Recording
+	i   int     // current tick
+	row []int64 // values at tick i, parallel to Names
+}
+
+// Next advances to the next tick and reports whether there is one.
+func (c *Cursor) Next() bool {
+	if c.i+1 >= len(c.rec.Times) {
+		return false
+	}
+	lo := 0
+	if c.i >= 0 {
+		lo = c.rec.ends[c.i]
+	}
+	c.i++
+	for _, ch := range c.rec.log[lo:c.rec.ends[c.i]] {
+		c.row[ch.series] = ch.value
+	}
+	return true
+}
+
+// Time returns the current tick's timestamp.
+func (c *Cursor) Time() sim.Time { return c.rec.Times[c.i] }
+
+// Row returns every series' value at the current tick, parallel to Names.
+// The slice is the cursor's own and is overwritten by the next call to
+// Next; callers must not modify it.
+func (c *Cursor) Row() []int64 { return c.row }

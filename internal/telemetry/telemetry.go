@@ -1,6 +1,7 @@
 // Package telemetry is the simulator's run-time observability layer: named
-// probes sampled periodically on the simulation clock into one fixed-capacity,
-// preallocated, tick-major buffer, exportable as JSONL or CSV.
+// probes sampled periodically on the simulation clock into a change log that
+// keeps only the values that moved since the previous tick, replayed tick by
+// tick through a cursor and exportable as JSONL or CSV.
 //
 // The paper's evaluation is built on time-series evidence — queue build-up
 // and PFC pause propagation over time (Figs. 1–2), OOD degree, throughput
@@ -17,12 +18,16 @@
 //     all non-sampler events — and therefore every golden figure and
 //     determinism fingerprint — is bit-identical with sampling on or off
 //     (harness tests pin this).
-//   - The steady-state tick is allocation-free. The row buffer is sized once
-//     at construction; each tick hands every probe its slice of one
-//     contiguous row, and the rearm reuses the engine's pooled event structs.
-//     The hotpath analyzer covers Sampler.OnEvent like any other event
+//   - A tick that records no change is allocation-free. Each tick hands
+//     every probe its slice of one reused scratch row, diffs the row against
+//     the last recorded values, and appends only the changed (series, value)
+//     pairs to the log; tick timestamps and log offsets go into slices sized
+//     once at construction, and the rearm reuses the engine's pooled event
+//     structs. The log doubles when full, so a run grows it O(log changes)
+//     times. The hotpath analyzer covers Sampler.OnEvent like any other event
 //     handler, and tests assert 0 allocs/op for synthetic probes and for the
-//     topology's real probe set.
+//     topology's real probe set, and bound the log's growth when every
+//     series changes on every tick.
 //
 // The topology layer registers the standard probe set (switch shared-pool
 // occupancy, per-port queue depth and pause state, DCQCN rates, per-host

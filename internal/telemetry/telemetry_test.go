@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
 )
 
@@ -28,6 +31,30 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// rows replays rec through its cursor into one dense row per tick.
+func rows(rec *Recording) [][]int64 {
+	var out [][]int64
+	for c := rec.Ticks(); c.Next(); {
+		out = append(out, append([]int64(nil), c.Row()...))
+	}
+	return out
+}
+
+// replay records vals with a sampler: one probe group over names reports
+// vals[i] at tick i, ticks interval apart from t=0, into a buffer of capacity
+// ticks. Rows past capacity are dropped.
+func replay(interval sim.Time, names []string, capacity int, vals [][]int64) *Recording {
+	eng := sim.NewEngine()
+	i := 0
+	r := NewRegistry()
+	r.Register(func(dst []int64) { copy(dst, vals[i]); i++ }, names...)
+	s := NewSampler(eng, r, interval, capacity)
+	s.Start()
+	eng.RunUntil(sim.Time(len(vals)-1) * interval)
+	s.Stop()
+	return s.Recording()
 }
 
 func TestRegistryDuplicatePanics(t *testing.T) {
@@ -85,18 +112,22 @@ func TestSamplerRecordsAtInterval(t *testing.T) {
 	if len(rec.Times) != 6 {
 		t.Fatalf("got %d ticks, want 6 (t=0..50us)", len(rec.Times))
 	}
-	if len(rec.Rows) != 6*4 {
-		t.Fatalf("len(Rows) = %d, want 6 ticks x 4 series", len(rec.Rows))
-	}
-	for i, want := range []sim.Time{0, 10, 20, 30, 40, 50} {
-		if rec.Times[i] != want*sim.Microsecond {
-			t.Fatalf("tick %d at %v, want %dus", i, rec.Times[i], want)
+	i := 0
+	for c := rec.Ticks(); c.Next(); i++ {
+		if want := sim.Time(i) * 10 * sim.Microsecond; c.Time() != want || rec.Times[i] != want {
+			t.Fatalf("tick %d at %v (Times %v), want %v", i, c.Time(), rec.Times[i], want)
+		}
+		if len(c.Row()) != 4 {
+			t.Fatalf("tick %d has %d values, want 4 series", i, len(c.Row()))
 		}
 		for j, mul := range []int64{1, 2, 3, -1} {
-			if got := rec.At(j, i); got != mul*int64(i) {
+			if got := c.Row()[j]; got != mul*int64(i) {
 				t.Fatalf("series %s at tick %d = %d, want %d", rec.Names[j], i, got, mul*int64(i))
 			}
 		}
+	}
+	if i != 6 {
+		t.Fatalf("cursor visited %d ticks, want 6", i)
 	}
 	if rec.Dropped != 0 {
 		t.Fatalf("Dropped = %d, want 0", rec.Dropped)
@@ -130,8 +161,14 @@ func TestSamplerCapacityDrops(t *testing.T) {
 	eng.RunUntil(10 * sim.Microsecond)
 	s.Stop()
 	rec := s.Recording()
-	if len(rec.Times) != 3 || len(rec.Rows) != 3*2 {
-		t.Fatalf("recorded %d ticks (%d values), want capacity 3 (6 values)", len(rec.Times), len(rec.Rows))
+	got := rows(rec)
+	if len(rec.Times) != 3 || len(got) != 3 {
+		t.Fatalf("recorded %d ticks (cursor visited %d), want capacity 3", len(rec.Times), len(got))
+	}
+	for i, row := range got {
+		if len(row) != 2 || row[0] != 7 || row[1] != 7 {
+			t.Fatalf("tick %d = %v, want [7 7]", i, row)
+		}
 	}
 	// Ticks at 0..10us inclusive = 11; 3 recorded, 8 dropped.
 	if rec.Dropped != 8 {
@@ -140,13 +177,8 @@ func TestSamplerCapacityDrops(t *testing.T) {
 }
 
 func TestWriteJSONL(t *testing.T) {
-	rec := &Recording{
-		Interval: 10 * sim.Microsecond,
-		Names:    []string{"leaf0/shared", "host1/una"},
-		Times:    []sim.Time{0, 10 * sim.Microsecond},
-		Rows:     []int64{100, 0, 200, 42},
-		Dropped:  1,
-	}
+	rec := replay(10*sim.Microsecond, []string{"leaf0/shared", "host1/una"}, 2,
+		[][]int64{{100, 0}, {200, 42}, {300, 42}})
 	var b bytes.Buffer
 	if err := WriteJSONL(&b, rec); err != nil {
 		t.Fatal(err)
@@ -161,17 +193,12 @@ func TestWriteJSONL(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	rec := &Recording{
-		Interval: sim.Microsecond,
-		Names:    []string{"a", `we"ird,name`},
-		Times:    []sim.Time{5},
-		Rows:     []int64{1, -2},
-	}
+	rec := replay(sim.Microsecond, []string{"a", `we"ird,name`}, 1, [][]int64{{1, -2}})
 	var b bytes.Buffer
 	if err := WriteCSV(&b, rec); err != nil {
 		t.Fatal(err)
 	}
-	want := "t_ps,a,\"we\"\"ird,name\"\n5,1,-2\n"
+	want := "t_ps,a,\"we\"\"ird,name\"\n0,1,-2\n"
 	if b.String() != want {
 		t.Fatalf("CSV mismatch:\ngot:\n%q\nwant:\n%q", b.String(), want)
 	}
@@ -188,12 +215,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 }
 
 func TestExportPropagatesWriteErrors(t *testing.T) {
-	rec := &Recording{
-		Interval: sim.Microsecond,
-		Names:    []string{"a"},
-		Times:    []sim.Time{0, 1, 2},
-		Rows:     []int64{1, 2, 3},
-	}
+	rec := replay(sim.Microsecond, []string{"a"}, 3, [][]int64{{1}, {2}, {3}})
 	for _, n := range []int{0, 2} { // fail on the header, then mid-body
 		if err := WriteJSONL(&failAfter{n: n}, rec); err != io.ErrShortWrite {
 			t.Fatalf("WriteJSONL failing at write %d returned %v", n, err)
@@ -212,6 +234,109 @@ func TestExportEmptyRecording(t *testing.T) {
 	}
 	if got := strings.Count(b.String(), "\n"); got != 1 {
 		t.Fatalf("empty recording wrote %d lines, want header only", got)
+	}
+}
+
+// TestCursorReplaysDenseRows is the change log's property test: for seeded
+// random probe values — held, returned to 0, the int64 extremes, or fresh —
+// the cursor must rebuild exactly the dense rows the probes reported on every
+// recorded tick. Tick 0 is always non-zero somewhere, and half the cases
+// overfill the buffer so the dropped ticks must leave no trace.
+func TestCursorReplaysDenseRows(t *testing.T) {
+	extremes := []int64{0, 1, -1, math.MinInt64, math.MaxInt64}
+	dropped := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		series, ticks := 1+r.Intn(48), 2+r.Intn(400)
+		capacity := ticks
+		if seed%2 == 0 {
+			capacity = ticks - 1 - r.Intn(ticks/2)
+		}
+		names := make([]string, series)
+		for j := range names {
+			names[j] = fmt.Sprintf("s%d", j)
+		}
+		shadow := make([][]int64, ticks)
+		prev := make([]int64, series)
+		for i := range shadow {
+			row := make([]int64, series)
+			for j := range row {
+				switch k := r.Intn(10); {
+				case k < 5:
+					row[j] = prev[j]
+				case k < 7:
+					row[j] = 0
+				case k < 9:
+					row[j] = extremes[r.Intn(len(extremes))]
+				default:
+					row[j] = int64(r.Uint64())
+				}
+			}
+			if i == 0 {
+				row[r.Intn(series)] = math.MinInt64
+			}
+			shadow[i], prev = row, row
+		}
+
+		rec := replay(sim.Microsecond, names, capacity, shadow)
+		got := rows(rec)
+		if len(got) != capacity || len(rec.Times) != capacity {
+			t.Fatalf("seed %d: cursor visited %d ticks, Times has %d, want capacity %d",
+				seed, len(got), len(rec.Times), capacity)
+		}
+		if rec.Dropped != ticks-capacity {
+			t.Fatalf("seed %d: Dropped = %d, want %d", seed, rec.Dropped, ticks-capacity)
+		}
+		dropped += rec.Dropped
+		for i := range got {
+			for j := range got[i] {
+				if got[i][j] != shadow[i][j] {
+					t.Fatalf("seed %d: series %d at tick %d = %d, probe reported %d",
+						seed, j, i, got[i][j], shadow[i][j])
+				}
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no case overfilled its buffer")
+	}
+}
+
+// TestChangeLogGrowthIsGeometric bounds the change log's growth in the worst
+// case, every series changing on every tick: the whole run — first tick
+// included — may allocate at most 2*log2(changes)+4 times, which only a log
+// that grows by a constant factor can meet.
+func TestChangeLogGrowthIsGeometric(t *testing.T) {
+	const series, ticks = 16, 4096
+	names := make([]string, series)
+	for j := range names {
+		names[j] = fmt.Sprintf("s%d", j)
+	}
+	var v int64
+	r := NewRegistry()
+	r.Register(func(dst []int64) {
+		v++
+		for j := range dst {
+			dst[j] = v * int64(j+1)
+		}
+	}, names...)
+	eng := sim.NewEngine()
+	s := NewSampler(eng, r, sim.Microsecond, ticks)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s.Start()
+	eng.RunUntil((ticks - 1) * sim.Microsecond)
+	runtime.ReadMemStats(&after)
+	s.Stop()
+
+	if s.Samples() != ticks || s.nlog != series*ticks {
+		t.Fatalf("recorded %d ticks and %d changes, want %d and %d", s.Samples(), s.nlog, ticks, series*ticks)
+	}
+	allocs := after.Mallocs - before.Mallocs
+	if limit := uint64(2*math.Log2(series*ticks)) + 4; allocs > limit {
+		t.Fatalf("%d ticks of %d changes each allocated %d times, want <= %d", ticks, series, allocs, limit)
 	}
 }
 
@@ -282,22 +407,19 @@ func BenchmarkSamplerTick(b *testing.B) {
 
 // scaleRecording is a recording shaped like the scale tier's incast timeline
 // (792 series, 4,781 ticks at 20 us): mostly small gauges and zero pause
-// bits, with a few wide cumulative counters and bit rates per row.
+// bits, with a few wide cumulative counters and bit rates per row. One probe
+// group generates each tick's row, and a Sampler records it.
 func scaleRecording() *Recording {
 	const series, ticks = 792, 4781
-	rec := &Recording{
-		Interval: 20 * sim.Microsecond,
-		Names:    make([]string, series),
-		Times:    make([]sim.Time, ticks),
-		Rows:     make([]int64, series*ticks),
-	}
-	for j := range rec.Names {
-		rec.Names[j] = fmt.Sprintf("dev%d/s%d", j/9, j%9)
+	names := make([]string, series)
+	for j := range names {
+		names[j] = fmt.Sprintf("dev%d/s%d", j/9, j%9)
 	}
 	x := uint64(1)
-	for i := range rec.Times {
-		rec.Times[i] = sim.Time(i) * rec.Interval
-		for j := 0; j < series; j++ {
+	i := 0
+	r := NewRegistry()
+	r.Register(func(dst []int64) {
+		for j := range dst {
 			x = x*6364136223846793005 + 1442695040888963407
 			var v int64
 			switch j % 9 {
@@ -312,10 +434,16 @@ func scaleRecording() *Recording {
 			case 4: // cumulative sequence sum
 				v = int64(i) * int64(x>>52)
 			}
-			rec.Rows[i*series+j] = v
+			dst[j] = v
 		}
-	}
-	return rec
+		i++
+	}, names...)
+	eng := sim.NewEngine()
+	s := NewSampler(eng, r, 20*sim.Microsecond, ticks)
+	s.Start()
+	eng.RunUntil(sim.Time(ticks-1) * 20 * sim.Microsecond)
+	s.Stop()
+	return s.Recording()
 }
 
 func BenchmarkWriteJSONL(b *testing.B) {

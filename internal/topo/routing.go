@@ -74,7 +74,7 @@ type leafRouter struct {
 }
 
 func (r *leafRouter) Route(sw *switchsim.Switch, pkt *fabric.Packet, in int) switchsim.Decision {
-	p := r.net.P
+	p := &r.net.P
 	if pkt.Type == fabric.Probe {
 		// A reflected probe returning home: ingest and consume.
 		if r.net.probes != nil && int(pkt.FlowID) == r.leaf {

@@ -113,13 +113,17 @@ func TestNetworkTelemetryTickAllocs(t *testing.T) {
 
 	// The frozen network really is busy, so the tick above folded live state.
 	rec := s.Recording()
+	c := rec.Ticks()
+	if !c.Next() {
+		t.Fatal("recording has no ticks")
+	}
 	var queued, senders int64
 	for j, name := range rec.Names {
 		switch {
 		case strings.HasSuffix(name, "/q"):
-			queued += rec.At(j, 0)
+			queued += c.Row()[j]
 		case strings.HasSuffix(name, "/active"):
-			senders += rec.At(j, 0)
+			senders += c.Row()[j]
 		}
 	}
 	if queued == 0 || senders == 0 {
