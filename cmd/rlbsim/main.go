@@ -30,7 +30,6 @@ import (
 	"github.com/rlb-project/rlb/internal/scenario"
 	"github.com/rlb-project/rlb/internal/spec"
 	"github.com/rlb-project/rlb/internal/telemetry"
-	"github.com/rlb-project/rlb/internal/trace"
 )
 
 // scenarioFlags are the flags that shape the scenario itself (as opposed to
@@ -62,7 +61,6 @@ func main() {
 	seeds := flag.Int("seeds", 1, "number of seeds to run and average")
 	noGuard := flag.Bool("noguard", false, "RLB ablation: disable the flow-order guard")
 	noRecirc := flag.Bool("norecirc", false, "RLB ablation: disable packet recirculation")
-	traceN := flag.Int("trace", 0, "record the last N control-plane events and dump them")
 	telemetryOut := flag.String("telemetry", "", "sample run-time telemetry and write the series to this file (JSONL; a .csv suffix writes CSV)")
 	sampleInterval := flag.Duration("sample-interval", 10*time.Microsecond, "telemetry sampling interval (with -telemetry)")
 	probe := flag.Duration("probe", 0, "use in-band probe telemetry at this interval instead of oracle path state (0 = oracle)")
@@ -208,6 +206,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rlbsim:", err)
 		os.Exit(2)
 	}
+	if s.Seeds > 1 && *telemetryOut != "" {
+		fmt.Fprintln(os.Stderr, "rlbsim: -telemetry records one run's time series; use -seeds 1")
+		os.Exit(2)
+	}
+	if s.Seeds > 1 && *fingerprint {
+		fmt.Fprintln(os.Stderr, "rlbsim: -fingerprint identifies one run; use -seeds 1")
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -242,24 +248,10 @@ func main() {
 		nSeeds = 1
 	}
 	if nSeeds > 1 {
-		if *telemetryOut != "" {
-			fmt.Fprintln(os.Stderr, "rlbsim: -telemetry records one run's time series; use -seeds 1")
-			os.Exit(2)
-		}
 		runAveraged(s, nSeeds)
 		return
 	}
 
-	var buf *trace.Buffer
-	if *traceN > 0 {
-		buf = trace.NewBuffer(*traceN)
-		// Data-plane arrivals/departures would drown the buffer; keep the
-		// control-plane story (pauses, warnings, recirculations, drops).
-		buf.Filter = func(e trace.Event) bool {
-			return e.Kind != trace.DataArrive && e.Kind != trace.DataDepart
-		}
-		cfg.Topo.Trace = buf
-	}
 	if *fingerprint {
 		cfg.KeepNetwork = true
 	}
@@ -310,11 +302,6 @@ func main() {
 	fmt.Printf("wall:       %s for %v simulated\n", res.Wall.Round(time.Millisecond), res.SimTime)
 	if *fingerprint {
 		fmt.Printf("fingerprint: %s\n", harness.Fingerprint(res))
-	}
-	if buf != nil {
-		fmt.Printf("\ntrace:      %d events recorded (%s)\n", buf.Total(), buf.Summary())
-		fmt.Printf("last %d control-plane events:\n", buf.Len())
-		_ = buf.Dump(os.Stdout)
 	}
 }
 

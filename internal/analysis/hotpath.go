@@ -33,8 +33,8 @@ import (
 // reachable from OnEvent.
 //
 // Arguments of panic(...) are exempt: the failure path is allowed to format.
-// Observer packages (trace, invariant) outside the simPackages list are not
-// reported — they are opt-in diagnostics, not the steady-state data plane.
+// Observer packages (invariant, metrics) outside the simPackages list are
+// not reported — they are opt-in diagnostics, not the steady-state data plane.
 // Each finding carries the shortest OnEvent call chain that makes the
 // function hot, so the fix target is visible from the message alone.
 var Hotpath = &Analyzer{

@@ -6,7 +6,6 @@ import (
 	"github.com/rlb-project/rlb/internal/lb"
 	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/switchsim"
-	"github.com/rlb-project/rlb/internal/trace"
 )
 
 // AgentStats counts rerouting-module activity at one leaf switch.
@@ -149,10 +148,6 @@ func (a *Agent) OnControl(sw *switchsim.Switch, pkt *fabric.Packet, inPort int) 
 	}
 	a.Stats.WarningsRcvd++
 	a.warned[uplink].SetGrow(pkt.CNMsg.DstLeaf+1, sw.Eng.Now()+a.Params.WarnExpiry)
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.WarningSet,
-			Dev: sw.ID, Port: uplink, Aux: pkt.CNMsg.DstLeaf})
-	}
 	return true
 }
 

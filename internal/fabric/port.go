@@ -131,9 +131,6 @@ func SetLinkRate(p *Port, rate units.Bandwidth) {
 	}
 }
 
-// Busy reports whether the port is serializing a frame right now.
-func (p *Port) Busy() bool { return p.busy }
-
 // DrainTime estimates how long the current data-class backlog takes to
 // serialize at link rate (used by delay-aware load balancers).
 func (p *Port) DrainTime() sim.Time {

@@ -38,9 +38,6 @@ type hermesFlow struct {
 	started     bool
 }
 
-// HermesDefaults returns thresholds scaled to the given base one-way delay.
-func HermesDefaults(mtu int) Factory { return NewHermes(mtu, 0) }
-
 // NewHermes returns a Hermes factory. base is the no-load PathDelay floor
 // used to scale the good/bad thresholds; pass 0 to use absolute defaults.
 func NewHermes(mtu int, base sim.Time) Factory {

@@ -15,7 +15,6 @@ import (
 	"github.com/rlb-project/rlb/internal/invariant"
 	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
-	"github.com/rlb-project/rlb/internal/trace"
 )
 
 // Config holds the switch data-plane parameters. Defaults follow the paper's
@@ -132,10 +131,6 @@ type Switch struct {
 	// reports whether it consumed them. RLB hooks CNM processing here.
 	OnControl func(pkt *fabric.Packet, inPort int) bool
 
-	// OnDeliver handles frames addressed to a directly attached host when
-	// the routing table maps the destination to port -1 (loopback testing).
-	OnDeliver func(pkt *fabric.Packet)
-
 	// upstreamUse tracks, per egress port, which ingress ports recently fed
 	// it; RLB's CNM relay uses this instead of MAC learning (see DESIGN.md).
 	// Each egress port holds a dense per-ingress stamp row: recording use is
@@ -145,9 +140,6 @@ type Switch struct {
 	// upsScratch is the reusable RecentUpstreams result buffer, sized to
 	// the port count so collecting upstreams never allocates.
 	upsScratch []int
-
-	// Trace, when attached, records data-plane events (see internal/trace).
-	Trace *trace.Buffer
 
 	// Pool, when attached, supplies the switch's self-originated control
 	// frames (PAUSE/RESUME/CNM) from the simulation's packet free list. Nil
@@ -282,10 +274,6 @@ func (sw *Switch) receiveData(pkt *fabric.Packet, inPort int) {
 		if sw.Cfg.PFCEnabled {
 			sw.Checker.PFCDrop(sw.Eng.Now(), sw.ID, sw.sharedUsed)
 		}
-		if sw.Trace != nil {
-			sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.Drop, Dev: sw.ID,
-				Port: inPort, Flow: pkt.FlowID, Seq: pkt.Seq, Aux: sw.sharedUsed})
-		}
 		fabric.Release(pkt)
 		return
 	}
@@ -293,10 +281,6 @@ func (sw *Switch) receiveData(pkt *fabric.Packet, inPort int) {
 	sw.Checker.PoolBounds(sw.Eng.Now(), sw.ID, sw.sharedUsed, sw.Cfg.BufferBytes)
 	if sw.sharedUsed > sw.Stats.PeakShared {
 		sw.Stats.PeakShared = sw.sharedUsed
-	}
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.DataArrive, Dev: sw.ID,
-			Port: inPort, Flow: pkt.FlowID, Seq: pkt.Seq, Aux: sw.ingressBytes[inPort]})
 	}
 	sw.ingressBytes[inPort] += pkt.Size
 	if sw.ingressBytes[inPort] > sw.Stats.PeakIngress {
@@ -354,10 +338,6 @@ func (sw *Switch) routeData(pkt *fabric.Packet, inPort int) {
 	if dec.Recirculate {
 		sw.Stats.Recirced++
 		pkt.Recirc++
-		if sw.Trace != nil {
-			sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.Recirculate, Dev: sw.ID,
-				Port: inPort, Flow: pkt.FlowID, Seq: pkt.Seq, Aux: pkt.Recirc})
-		}
 		delay := dec.RecircDelay
 		if delay <= 0 {
 			delay = sim.Microsecond
@@ -397,10 +377,6 @@ func (sw *Switch) maybeMark(pkt *fabric.Packet, out *fabric.Port) {
 func (sw *Switch) onTxDone(pkt *fabric.Packet) {
 	if pkt.Type != fabric.Data {
 		return
-	}
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.DataDepart, Dev: sw.ID,
-			Port: pkt.InPort, Flow: pkt.FlowID, Seq: pkt.Seq})
 	}
 	sw.release(pkt)
 }
@@ -477,10 +453,6 @@ func (sw *Switch) checkPFC(in int) {
 }
 
 func (sw *Switch) sendPause(in int) {
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.PauseOn, Dev: sw.ID,
-			Port: in, Aux: sw.ingressBytes[in]})
-	}
 	pause := sw.Pool.Control(fabric.Pause, sw.ID, -1)
 	pause.Pause = fabric.PauseInfo{Prio: fabric.PrioData, Dur: sw.Cfg.PauseDur}
 	sw.ports[in].Stats.PauseTx++
@@ -499,10 +471,6 @@ func (sw *Switch) checkResume(in int) {
 	sw.pauseActive[in] = false
 	sw.refreshTimer[in].Stop()
 	sw.refreshTimer[in] = sim.Timer{}
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.PauseOff, Dev: sw.ID,
-			Port: in, Aux: sw.ingressBytes[in]})
-	}
 	resume := sw.Pool.Control(fabric.Resume, sw.ID, -1)
 	resume.Pause = fabric.PauseInfo{Prio: fabric.PrioData}
 	sw.Stats.ResumeSent++

@@ -16,7 +16,6 @@ import (
 	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/switchsim"
-	"github.com/rlb-project/rlb/internal/trace"
 	"github.com/rlb-project/rlb/internal/transport"
 	"github.com/rlb-project/rlb/internal/units"
 )
@@ -44,10 +43,6 @@ type Params struct {
 	// (both directions), reproducing §4.2's asymmetric topology.
 	AsymFraction float64
 	AsymRate     units.Bandwidth
-
-	// Trace, when non-nil, is attached to every switch so the simulation
-	// records data-plane and RLB events (see internal/trace).
-	Trace *trace.Buffer
 
 	// ProbeInterval, when non-zero, replaces the oracle path telemetry with
 	// real probe frames: each leaf measures per-uplink RTTs in band and the
@@ -157,14 +152,12 @@ func Build(p Params) *Network {
 	// uplinks. Spine ports: one per leaf.
 	for l := 0; l < p.Leaves; l++ {
 		sw := switchsim.New(eng, leafID(l), p.HostsPerLeaf+p.Spines, p.Switch, n.rng.Fork())
-		sw.Trace = p.Trace
 		sw.Checker = p.Checker
 		sw.Pool = n.pool
 		n.Leaves = append(n.Leaves, sw)
 	}
 	for s := 0; s < p.Spines; s++ {
 		sw := switchsim.New(eng, spineID(s), p.Leaves, p.Switch, n.rng.Fork())
-		sw.Trace = p.Trace
 		sw.Checker = p.Checker
 		sw.Pool = n.pool
 		n.Spines = append(n.Spines, sw)

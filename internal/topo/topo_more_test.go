@@ -8,7 +8,6 @@ import (
 	"github.com/rlb-project/rlb/internal/fabric"
 	"github.com/rlb-project/rlb/internal/lb"
 	"github.com/rlb-project/rlb/internal/sim"
-	"github.com/rlb-project/rlb/internal/trace"
 	"github.com/rlb-project/rlb/internal/units"
 )
 
@@ -153,33 +152,6 @@ func TestMixedRLBTraffic(t *testing.T) {
 	}
 	if n.Drops() != 0 {
 		t.Fatalf("%d drops", n.Drops())
-	}
-}
-
-func TestTraceRecordsFabricEvents(t *testing.T) {
-	p := tiny()
-	p.Switch.PFCThreshold = 24 * 1000
-	rlb := core.DefaultParams(p.LinkDelay)
-	p.RLB = &rlb
-	buf := trace.NewBuffer(4096)
-	p.Trace = buf
-	n := Build(p)
-	for src := 0; src < 3; src++ {
-		n.StartFlow(src, 3, 400*1000)
-	}
-	n.Run(20 * sim.Millisecond)
-	n.StopRLB()
-	if buf.Total() == 0 {
-		t.Fatal("no events recorded")
-	}
-	if buf.CountKind(trace.DataArrive) == 0 || buf.CountKind(trace.DataDepart) == 0 {
-		t.Fatal("data-plane events missing")
-	}
-	if n.PauseFramesSent() > 0 && buf.CountKind(trace.PauseOn) == 0 {
-		t.Fatal("pauses happened but were not traced")
-	}
-	if buf.Summary() == "" {
-		t.Fatal("empty summary")
 	}
 }
 
